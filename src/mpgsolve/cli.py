@@ -161,16 +161,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _default_lwub_bound(path: Path, graph: GameGraph) -> int:
-    """Average finite unbounded requirement halved, cached beside the file."""
-    cache = path.with_suffix(path.suffix + ".bound")
-    if cache.exists():
-        return int(cache.read_text().strip())
+def _default_lwub_bound(graph: GameGraph) -> int:
+    """Average finite unbounded requirement halved."""
     lb = kasi.solve_lb(graph).lwub
     finite = [x for x in lb if x != INF]
-    bound = int(sum(finite) / len(finite) / 2) if finite else 0
-    cache.write_text(f"{bound}\n")
-    return bound
+    return int(sum(finite) / len(finite) / 2) if finite else 0
 
 
 def _time_cell(run, repeat: int):
@@ -210,7 +205,7 @@ def cmd_bench(args) -> int:
             elif args.bound is not None:
                 bound = args.bound
             else:
-                bound = _default_lwub_bound(path, graph)
+                bound = _default_lwub_bound(graph)
             for algorithm in algorithms:
                 if algorithm == "kasi":
                     def run():
@@ -317,7 +312,7 @@ def build_parser():
     p.add_argument("--algorithms", default="kasi,vi")
     p.add_argument("--problems", default="lb,lwub")
     p.add_argument("--bound", type=int, default=None,
-                   help="lwub bound; default is the cached half-average finite lb")
+                   help="lwub bound; default is the half-average finite lb")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-run limit; timed-out cells report iterations=-1")

@@ -17,6 +17,22 @@ iterates two phases until a fixpoint:
 * *improvement* switches Min's choice at every vertex owning an edge
   ``(v, u)`` with ``d(v) > d(u) + w(v, u)``.
 
+Evaluation is incremental, after Ramalingam and Reps ("An incremental
+algorithm for a generalization of the shortest-path problem", J. Algorithms
+1996).  Only the first pass of a solve searches the whole graph (and the
+first of :func:`evaluate_strategy`, which gets no forest).  Within a solve
+values only fall, so a vertex whose longest-path forest path avoids every
+*root* keeps that path and its value; the roots are the vertices that just
+left ``B`` and, in the first pass after an improvement, the Min vertices
+that switched.  Each later pass therefore resets the forest subtrees below
+the roots and reruns the same search on them alone, seeded from their
+edges into the untouched part, and then tests for leaving ``B`` only those
+``B`` vertices with an edge into a changed value.  Ties may leave the
+repaired forest differing from a full search's, so once the loop ends one
+full search on the final ``B``, with the last pass's potentials, rebuilds
+the very forest Max's strategy is read from.  With ``check=True`` every
+repaired pass is compared with a full search.
+
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially first.  A Min vertex's
 parallel edges to one target therefore collapse to the lightest of them
@@ -125,7 +141,25 @@ def _residual(v, out_v, eff_v, pi_v, d, dv):
     return best
 
 
-def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check):
+def _deadline(time_limit):
+    """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
+    passed from now, or None without a limit."""
+    if time_limit is None:
+        return None
+    at = time.perf_counter() + time_limit
+
+    def expire():
+        if time.perf_counter() > at:
+            raise TimeLimitExceeded(f"solve exceeded {time_limit} s")
+
+    return expire
+
+
+#: The searches look at the clock once per this many heap pops.
+DEADLINE_STRIDE = 4096
+
+
+def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check, deadline=None):
     """Longest admissible paths to ``targets``, by max-priority search.
 
     Runs backward over in-edges with the potential transformation
@@ -150,8 +184,13 @@ def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check):
         in_targets[v] = 1
         heap.append((0, v))
     heapify(heap)
+    pops = 0
     while heap:
         key, y = heappop(heap)
+        if deadline is not None:
+            pops += 1
+            if pops % DEADLINE_STRIDE == 0:
+                deadline()
         dy = d[y]
         if key != pot[y] - dy:
             continue  # stale heap entry (lazy deletion)
@@ -181,6 +220,77 @@ def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check):
             if d[v] > pot[v]:
                 raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
     return d, parent
+
+
+def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
+    """Incremental counterpart of :func:`_dijkstra`: its result given
+    ``pot`` and ``parent``, the values and forest of a previous search whose
+    targets or strategy differed only at ``roots`` (see the module
+    docstring).  Returns ``(d, parent, changed)``, ``changed`` listing the
+    vertices whose value fell.  It makes none of the debug checks of
+    :func:`_dijkstra`: with ``check=True`` the caller runs that search too.
+    """
+    d = list(pot)
+    parent = list(parent)
+    # the region: the roots and every forest descendant of one
+    in_region = bytearray(len(d))
+    region = []
+    for r in roots:
+        if not in_region[r]:
+            in_region[r] = 1
+            region.append(r)
+    for y in region:  # grows while it is walked
+        for x, _ in inc[y]:
+            if parent[x] == y and not in_region[x]:
+                in_region[x] = 1
+                region.append(x)
+    for x in region:
+        d[x] = NEG_INF
+        parent[x] = -1
+    # seed each region vertex from its edges into the untouched part, whose
+    # values are final; edges into the region carry -inf and never win
+    heap = []
+    for x in region:
+        if is_min[x]:
+            u = pi[x]
+            best, arg = d[u] + eff[x][u], u
+        else:
+            best, arg = NEG_INF, -1
+            for u, w in out[x]:
+                cand = d[u] + w
+                if cand > best:
+                    best, arg = cand, u
+        if best >= -bound:
+            d[x] = best
+            parent[x] = arg
+            heap.append((pot[x] - best, x))
+    heapify(heap)
+    # the search of _dijkstra, confined to the region
+    pops = 0
+    while heap:
+        key, y = heappop(heap)
+        if deadline is not None:
+            pops += 1
+            if pops % DEADLINE_STRIDE == 0:
+                deadline()
+        dy = d[y]
+        if key != pot[y] - dy:
+            continue
+        for x, w in inc[y]:
+            if not in_region[x]:
+                continue
+            if is_min[x]:
+                if pi[x] != y:
+                    continue
+                w = eff[x][y]
+            cand = dy + w
+            if cand < -bound:
+                continue
+            if cand > d[x]:
+                d[x] = cand
+                parent[x] = y
+                heappush(heap, (pot[x] - cand, x))
+    return d, parent, [x for x in region if d[x] != pot[x]]
 
 
 def _check_entry(n, out, is_min, eff, pi, d_prev):
@@ -235,8 +345,23 @@ def _check_entry(n, out, is_min, eff, pi, d_prev):
             raise PreconditionViolated("i", "restriction contains a non-negative cycle")
 
 
-def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, watch_b):
-    """One strategy evaluation: returns (d, candidate set, parents, passes)."""
+def _leaving(vertices, out, is_min, eff, pi, d):
+    """The vertices among ``vertices`` (of B) left without a non-negative
+    restricted out-edge under ``d``."""
+    return {
+        v for v in vertices
+        if _residual(v, out[v], eff[v], pi[v] if is_min[v] else None, d, 0) < 0
+    }
+
+
+def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, prev=None, deadline=None):
+    """One strategy evaluation: returns (d, candidate set, parents, potentials
+    of the last pass, passes).
+
+    ``prev`` is None, or the candidate set and parents that came with
+    ``d_prev`` plus the Min vertices switched since, which lets even the
+    first pass repair the forest instead of searching afresh.
+    """
     B = set()
     for v in range(n):
         if d_prev[v] != 0:
@@ -244,30 +369,51 @@ def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, watch_b):
         pv = pi[v] if is_min[v] else None
         if _residual(v, out[v], eff[v], pv, d_prev, 0) >= 0:
             B.add(v)
-    if check and watch_b is not None and not B <= watch_b:
-        raise InvariantViolation("candidate set gained vertices across evaluations")
+    roots = None
+    if prev is not None:
+        prev_b, parent, switched = prev
+        if check and not B <= prev_b:
+            raise InvariantViolation("candidate set gained vertices across evaluations")
+        roots = (prev_b - B).union(switched)
     pot = d_prev
     passes = 0
     while True:
+        if deadline is not None:
+            deadline()
         passes += 1
-        d, parent = _dijkstra(n, inc, is_min, eff, pi, bound, B, pot, check)
-        drop = [
-            v for v in B
-            if _residual(v, out[v], eff[v], pi[v] if is_min[v] else None, d, 0) < 0
-        ]
+        if roots is None:
+            d, parent = _dijkstra(n, inc, is_min, eff, pi, bound, B, pot, check, deadline)
+            drop = _leaving(B, out, is_min, eff, pi, d)
+        else:
+            d, parent, changed = _repair(
+                out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline
+            )
+            # a B vertex had a non-negative edge under pot, so it can only
+            # lose it along an edge into a changed value
+            near = {
+                x for y in changed for x, _ in inc[y]
+                if x in B and (not is_min[x] or pi[x] == y)
+            }
+            drop = _leaving(near, out, is_min, eff, pi, d)
+            if check:
+                full, _ = _dijkstra(n, inc, is_min, eff, pi, bound, B, pot, check)
+                if full != d or _leaving(B, out, is_min, eff, pi, full) != drop:
+                    raise InvariantViolation("incremental evaluation differs from a full search")
         if not drop:
-            return d, B, parent, passes
+            return d, B, parent, pot, passes
         B = B.difference(drop)
         pot = d
+        roots = drop
 
 
 def _improve(n, is_min, eff, pi, d):
-    """Switch Min choices violating local optimality; returns whether any did.
+    """Switch Min choices violating local optimality; returns the switched
+    vertices.
 
     The condition is tested on effective (lightest-parallel) weights; ties
     break toward the smallest d(u) + w, then the lowest target index.
     """
-    changed = False
+    switched = []
     for v in range(n):
         if not is_min[v]:
             continue
@@ -284,8 +430,8 @@ def _improve(n, is_min, eff, pi, d):
                 best = (cand, u)
         if best is not None:
             pi[v] = best[1]
-            changed = True
-    return changed
+            switched.append(v)
+    return switched
 
 
 def _snapshot(pi, is_min):
@@ -338,21 +484,16 @@ def solve_lwub(
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
-    candidates: set[int] = set()
-    parents = [-1] * n
-    watch_b: set[int] | None = None
+    prev = None
     max_main = n * n * w_max + 1
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    deadline = _deadline(time_limit)
     iteration = 0
-    d = d_prev
     while True:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeLimitExceeded(f"solve exceeded {time_limit} s")
         if check:
             _check_entry(n, out, is_min, eff, pi, d_prev)
         strategies.append(_snapshot(pi, is_min))
-        d, candidates, parents, passes = _evaluate(
-            n, out, inc, is_min, eff, pi, bound, d_prev, check, watch_b
+        d, candidates, parents, pot, passes = _evaluate(
+            n, out, inc, is_min, eff, pi, bound, d_prev, check, prev, deadline
         )
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
@@ -367,14 +508,19 @@ def solve_lwub(
         if iteration > 0 and not strict:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
-        watch_b = candidates
         iteration += 1
         if iteration > max_main:
             raise InvariantViolation(f"main loop exceeded {max_main} iterations")
-        if not _improve(n, is_min, eff, pi, d):
+        switched = _improve(n, is_min, eff, pi, d)
+        if not switched:
             break
+        prev = (candidates, parents, switched)
         d_prev = d
 
+    # the forest of a full search on the last pass's input, see module docstring
+    full, parents = _dijkstra(n, inc, is_min, eff, pi, bound, candidates, pot, check, deadline)
+    if check and full != d:
+        raise InvariantViolation("final full search differs from the evaluation")
     lwub = [(-dv if dv != NEG_INF else INF) for dv in d]
     sigma = extract_max_strategy(game, d, candidates, parents)
     witness = MinWitness(strategies=strategies, death_index=death)
@@ -476,9 +622,9 @@ def evaluate_strategy(
     d_prev = list(d_prev)
     if check:
         _check_entry(n, game.out_adjacency, is_min, eff, pi, d_prev)
-    d, _, _, passes = _evaluate(
+    d, _, _, _, passes = _evaluate(
         n, game.out_adjacency, game.in_adjacency, is_min, eff, pi,
-        int(bound), d_prev, check, None,
+        int(bound), d_prev, check,
     )
     if passes > max(1, n):
         raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
@@ -500,8 +646,8 @@ def improve_strategy(
     pi = [None] * n
     for v, u in strategy.choice.items():
         pi[v] = u
-    changed = _improve(n, is_min, eff, pi, list(d))
-    return _snapshot(pi, is_min), changed
+    switched = _improve(n, is_min, eff, pi, list(d))
+    return _snapshot(pi, is_min), bool(switched)
 
 
 def extract_max_strategy(

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from mpgsolve import memory_game, render_game
+from mpgsolve import GameGraph, Owner, memory_game, render_game
 from mpgsolve.cli import main
 
 
@@ -109,8 +109,15 @@ class TestBench:
         assert len(lines) == 1 + 4  # 2 problems x 2 algorithms
         for line in lines[1:]:
             assert len(line.split(",")) == 8
-        # the default lwub bound was cached beside the instance
-        assert (tmp_path / "memory.mpg.bound").exists()
+        # the default lwub bound is computed from the game, and nothing is
+        # written beside the instance
+        assert not (tmp_path / "memory.mpg.bound").exists()
+        lwub_bound = {line.split(",")[4] for line in lines[1:] if ",lwub," in line}
+        assert lwub_bound == {"5"}
+        path.write_text(render_game(GameGraph(2, [Owner.MAX] * 2, [(0, 1, -4), (1, 1, 0)])))
+        assert main(["bench", str(path), "--repeat", "1", "--problems", "lwub",
+                     "--algorithms", "kasi", "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "1"
 
 
 class TestConfig:

@@ -1,3 +1,7 @@
+import hashlib
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
 from mpgsolve import (
@@ -21,7 +25,7 @@ from mpgsolve import (
     verify_min_witness,
     winning_sign,
 )
-from mpgsolve import MEMORY_GAME_BOUND
+from mpgsolve import MEMORY_GAME_BOUND, GenSpec, formats, generate, kasi
 from conftest import random_game
 
 INF = float("inf")
@@ -293,6 +297,28 @@ class TestBudgets:
         with pytest.raises(TimeLimitExceeded):
             solve_lwub(g, 10**6, time_limit=-1.0)
 
+    def test_time_limit_interrupts_the_first_evaluation(self, monkeypatch):
+        # The first evaluation of this chain is one search settling all n
+        # vertices.  The clock ticks once per heap pop, so a limit of 100
+        # ticks expires early inside that search.
+        n = 20000
+        g = GameGraph(n, [MAX] * n, [(v, v + 1, -1) for v in range(n - 1)] + [(n - 1, n - 1, 0)])
+        pops = 0
+
+        def counting_pop(heap):
+            nonlocal pops
+            pops += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(kasi, "heappop", counting_pop)
+        monkeypatch.setattr(kasi, "time", SimpleNamespace(perf_counter=lambda: pops))
+        assert solve_lwub(g, n).lwub[0] == n - 1
+        assert pops >= 2 * n  # the evaluation plus the final forest search
+        pops = 0
+        with pytest.raises(TimeLimitExceeded):
+            solve_lwub(g, n, time_limit=100)
+        assert pops <= kasi.DEADLINE_STRIDE < n // 4
+
     def test_iteration_counts_within_budget(self, rng):
         for _ in range(100):
             g = random_game(rng)
@@ -301,3 +327,49 @@ class TestBudgets:
             n = g.vertex_count
             w = max((abs(w) for _, _, w in g.edges), default=0)
             assert res.iterations <= n * n * w + 1
+
+
+def _digests(res):
+    texts = (formats.render_values(res.lwub), formats.render_strategy(res.max_strategy),
+             formats.render_witness(res.min_witness))
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+_C11_SHAPE = GenSpec(family="sprand", n=2000, edge_factor=2.0, seed=0,
+                     weight_lo=1, weight_hi=10, shift=6)
+_TORUS = GenSpec(family="torus", rows=30, cols=30, seed=0, weight_lo=-5, weight_hi=5)
+
+
+class TestPinnedOutputs:
+    """Rendered values, Max strategy and Min witness, byte for byte: SHA-256
+    digests recorded from the solver when every evaluation pass was a full
+    search."""
+
+    @pytest.mark.parametrize("case, solve, want", [
+        ("c11-lb", lambda: solve_lb(generate(_C11_SHAPE)),
+         (
+            "fb2f6991dfd38f97c591634bf1590f7b1505e8e7efac56b54225268c0d51e8dc",
+            "80a47d4368a6e39373981e7052677ebd5f2d5dab7c4d68f833b27f1104e94d48",
+            "18f1341efe6558dd4ae7e00516970d2bb37cd932af7a6cdcf34e6a2d11cea133",
+        )),
+        ("c11-b20", lambda: solve_lwub(generate(_C11_SHAPE), 20),
+         (
+            "162f54e26b428423d9ef8c80941b720535090648ff19201f820e53f44da64932",
+            "8999b02e75cc6dd8aed4dcb527ab22cd227a30c55a0c3016c3d273e1d2d96bf8",
+            "6ae64d24ef18efe6a500752cdc9a3048a8ce11c60135057882898775b5cf8666",
+        )),
+        ("torus-lb", lambda: solve_lb(generate(_TORUS)),
+         (
+            "9ff0a77d9b46ae58b4ba4c485f4e5bb960adb831032c2123c3e9d0dcd9ea6fbc",
+            "ee28d33e76b6afe4b3fbc1ac957e349a1336ed8882700e0b7c7b7e0d70c90af3",
+            "8641a801483ed874fd4beb407205044934052473fe2849f7dba69bb9428be6aa",
+        )),
+        ("memory", lambda: solve_lwub(memory_game(), MEMORY_GAME_BOUND),
+         (
+            "da628f192d566a37a7e864e2df3a0eb7c4bcc1ddf732bb9d6860f1ba69252bf6",
+            "dca9c049c8bc36c5999422c68a5d6c4d8526ca043ecdfc6f266dcf90834e4cf3",
+            "2bea3b3a8fd8798debde95c643138cd6b45f1103cefd84b72daaac2ab13ed07e",
+        )),
+    ])
+    def test_outputs_unchanged(self, case, solve, want):
+        assert _digests(solve()) == want
