@@ -1,16 +1,16 @@
 """Tiny desk benchmark: strategy improvement versus value iteration.
 
-Generates a few mid-size instances, times both algorithms on both problems
-(input parsing excluded, median of three runs) and prints the CSV that the
-``mpg bench`` subcommand would produce.
+Generates a few mid-size instances into a temporary directory and times
+both algorithms on both problems with ``mpg bench`` (input parsing
+excluded, median of three runs), which prints its CSV table.
 """
 
-import statistics
-import time
+import sys
+import tempfile
+from pathlib import Path
 
-from mpgsolve import GenSpec, generate, render_bench_row, solve_lwub, vi_solve
-from mpgsolve.core import max_abs_weight
-from mpgsolve.formats import BENCH_HEADER
+from mpgsolve import GenSpec, generate, render_game
+from mpgsolve.cli import main
 
 specs = {
     "rand2-desk": GenSpec(family="sprand", n=1000, edge_factor=2.0, seed=1,
@@ -20,27 +20,11 @@ specs = {
     "collect-desk": GenSpec(family="collect", grid=4, docks=2, phases=2, seed=1),
 }
 
-print(BENCH_HEADER, end="")
-for name, spec in specs.items():
-    game = generate(spec)
-    n, m = game.vertex_count, len(game.edges)
-    for problem in ("lb", "lwub"):
-        if problem == "lb":
-            bound = (n - 1) * max_abs_weight(game)
-        else:
-            bound = 3 * max_abs_weight(game)
-        for algorithm in ("kasi", "vi"):
-            samples = []
-            iterations = 0
-            for _ in range(3):
-                t0 = time.perf_counter()
-                if algorithm == "kasi":
-                    iterations = solve_lwub(game, bound).iterations
-                else:
-                    stats = {}
-                    vi_solve(game, bound, stats=stats)
-                    iterations = stats["iterations"]
-                samples.append(time.perf_counter() - t0)
-            row = render_bench_row(name, n, m, problem, bound, algorithm,
-                                   statistics.median(samples), iterations)
-            print(row, end="")
+with tempfile.TemporaryDirectory() as tmp:
+    paths = []
+    for name, spec in specs.items():
+        path = Path(tmp) / f"{name}.mpg"
+        path.write_text(render_game(generate(spec)))
+        paths.append(str(path))
+    sys.exit(main(["bench", *paths, "--problems", "lb,lwub", "--algorithms", "kasi,vi",
+                   "--bound", "15", "--repeat", "3"]))

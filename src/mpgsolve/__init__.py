@@ -8,16 +8,17 @@ at an upper bound -- together with optimal strategies for both players.
 
 from .core import (
     GameGraph,
+    MinWitness,
     Owner,
     PositionalStrategy,
     SUBGAME_SELF_LOOP_WEIGHT,
+    SolveResult,
     cycle_weight,
     induced_subgame,
     max_abs_weight,
     path_weight,
     restrict_to_strategy,
     validate,
-    validate_strategy,
 )
 from .errors import (
     AdjacencyMismatch,
@@ -48,15 +49,12 @@ from .formats import (
     render_values,
     render_witness,
 )
-from .generators import GenSpec, find_balancing_shift, gen_layered, gen_model, gen_sprand, gen_torus, generate
-from .instances import MEMORY_GAME_BOUND, memory_game, one_vertex_game, two_vertex_duel
+from .generators import GenSpec, generate
+from .instances import MEMORY_GAME_BOUND, find_balancing_shift, memory_game, one_vertex_game, two_vertex_duel
 from .kasi import (
-    MinWitness,
-    SolveResult,
     ViolationTrace,
     dijkstra_longest,
     evaluate_strategy,
-    extract_max_strategy,
     improve_strategy,
     solve_lb,
     solve_lwub,
@@ -80,7 +78,6 @@ __all__ = [
     "ViState",
     "MEMORY_GAME_BOUND",
     "validate",
-    "validate_strategy",
     "restrict_to_strategy",
     "induced_subgame",
     "max_abs_weight",
@@ -92,7 +89,6 @@ __all__ = [
     "evaluate_strategy",
     "improve_strategy",
     "dijkstra_longest",
-    "extract_max_strategy",
     "verify_min_witness",
     "vi_solve",
     "vi_step",
@@ -100,10 +96,6 @@ __all__ = [
     "oracle_lb",
     "oracle_value_sign",
     "generate",
-    "gen_sprand",
-    "gen_torus",
-    "gen_layered",
-    "gen_model",
     "find_balancing_shift",
     "memory_game",
     "one_vertex_game",

@@ -30,8 +30,6 @@ from .errors import (
 from .generators import GenSpec, generate
 from .value_iteration import vi_solve
 
-INF = kasi.INF
-
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -161,13 +159,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _default_lwub_bound(graph: GameGraph) -> int:
-    """Average finite unbounded requirement halved."""
-    lb = kasi.solve_lb(graph).lwub
-    finite = [x for x in lb if x != INF]
-    return int(sum(finite) / len(finite) / 2) if finite else 0
-
-
 def _time_cell(run, repeat: int):
     """Median wall-clock seconds over repeats; None marks a timeout."""
     samples = []
@@ -193,6 +184,8 @@ def cmd_bench(args) -> int:
             raise InvalidSpec(f"unknown problem {p!r}")
     if args.repeat < 1:
         raise InvalidSpec("--repeat must be >= 1")
+    if "lwub" in problems and args.bound is None:
+        raise InvalidSpec("--bound is required when --problems includes lwub")
     rows = []
     for name in args.instances:
         path = Path(name)
@@ -200,12 +193,7 @@ def cmd_bench(args) -> int:
         n = graph.vertex_count
         m = len(graph.edges)
         for problem in problems:
-            if problem == "lb":
-                bound = (n - 1) * max_abs_weight(graph)
-            elif args.bound is not None:
-                bound = args.bound
-            else:
-                bound = _default_lwub_bound(graph)
+            bound = (n - 1) * max_abs_weight(graph) if problem == "lb" else args.bound
             for algorithm in algorithms:
                 if algorithm == "kasi":
                     def run():
@@ -310,9 +298,9 @@ def build_parser():
     p = sub.add_parser("bench", help="time algorithms over instance files (parse time excluded)")
     p.add_argument("instances", nargs="+", help="game files")
     p.add_argument("--algorithms", default="kasi,vi")
-    p.add_argument("--problems", default="lb,lwub")
+    p.add_argument("--problems", default="lb")
     p.add_argument("--bound", type=int, default=None,
-                   help="lwub bound; default is the half-average finite lb")
+                   help="lwub bound; required when --problems includes lwub")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-run limit; timed-out cells report iterations=-1")
@@ -349,7 +337,7 @@ def main(argv=None) -> int:
                                   if k in {a.dest for a in p._actions}})
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, ValidationError, InvalidSpec, OverflowRisk, FileNotFoundError, ValueError) as exc:
+    except (ParseError, ValidationError, InvalidSpec, OverflowRisk, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, TimeLimitExceeded) as exc:

@@ -38,13 +38,14 @@ SUBGAME_SELF_LOOP_WEIGHT = -1
 #: so that results stay portable to fixed-width implementations.
 WEIGHT_ENVELOPE = 2**63
 
+#: The infinite entries of potential and energy vectors.
+NEG_INF = float("-inf")
+INF = float("inf")
+
 
 class Owner(Enum):
     MAX = "MAX"
     MIN = "MIN"
-
-    def opponent(self) -> "Owner":
-        return Owner.MIN if self is Owner.MAX else Owner.MAX
 
 
 class GameGraph:
@@ -100,6 +101,27 @@ class PositionalStrategy:
 
     def __post_init__(self):
         object.__setattr__(self, "choice", dict(self.choice))
+
+
+@dataclass
+class MinWitness:
+    """Min's optimal play: the strategy sequence plus per-vertex death index.
+
+    ``death_index[v]`` is the index of the evaluation that drove ``d(v)`` to
+    minus infinity, or None while the vertex stays winnable for Max.
+    """
+
+    strategies: list[PositionalStrategy]
+    death_index: list[int | None]
+
+
+@dataclass
+class SolveResult:
+    lwub: list  # int or float('inf') per vertex
+    max_strategy: PositionalStrategy
+    min_witness: MinWitness
+    iterations: int
+    final_d: list  # int or float('-inf') per vertex
 
 
 def validate(graph: GameGraph) -> None:

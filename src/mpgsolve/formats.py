@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight, validate
-from .core import WEIGHT_ENVELOPE
+from .core import INF, WEIGHT_ENVELOPE, MinWitness, SolveResult
 from .errors import OverflowRisk, ParseError
-from .kasi import INF, MinWitness, SolveResult
 
 INF_TOKEN = "inf"
 

@@ -21,11 +21,10 @@ both.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import GameGraph, Owner, validate
 from .errors import InvalidSpec
-from .kasi import winning_sign
 
 _PHASE_STRUCTURE = 1
 _PHASE_WEIGHTS = 2
@@ -318,33 +317,3 @@ def generate(spec: GenSpec) -> GameGraph:
     if builder is None:
         raise InvalidSpec(f"unknown family {spec.family!r}; choose from {sorted(_FAMILIES)}")
     return builder(spec)
-
-
-def find_balancing_shift(spec: GenSpec, lo: int, hi: int) -> int:
-    """Smallest shift in [lo, hi] whose instance has both value signs.
-
-    Larger shifts push more vertices to negative value, so the negative
-    class appears monotonically; binary search finds the frontier, then the
-    neighbourhood is scanned in case the frontier jumps straight from
-    all-non-negative to all-negative.  Desk-scale instances only.
-    """
-    if lo > hi:
-        raise InvalidSpec("empty shift range")
-
-    def classes(shift: int):
-        g = generate(replace(spec, shift=shift))
-        return winning_sign(g)
-
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        _, neg = classes(mid)
-        if neg:
-            b = mid
-        else:
-            a = mid + 1
-    for shift in range(max(lo, a - 1), min(hi, a + 1) + 1):
-        nonneg, neg = classes(shift)
-        if nonneg and neg:
-            return shift
-    raise InvalidSpec(f"no shift in [{lo}, {hi}] yields both winning classes")

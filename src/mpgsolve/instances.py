@@ -1,8 +1,14 @@
-"""Small named instances used by tests and demos."""
+"""Small named instances used by tests and demos, and shift balancing for
+generated ones."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import GameGraph, Owner
+from .errors import InvalidSpec
+from .generators import GenSpec, generate
+from .kasi import winning_sign
 
 #: Truncation bound under which the memory game below shows its point.
 MEMORY_GAME_BOUND = 15
@@ -48,3 +54,33 @@ def two_vertex_duel() -> GameGraph:
     owners = [Owner.MAX, Owner.MIN]
     edges = [(0, 1, -3), (0, 0, 0), (1, 0, -3)]
     return GameGraph(2, owners, edges)
+
+
+def find_balancing_shift(spec: GenSpec, lo: int, hi: int) -> int:
+    """Smallest shift in [lo, hi] whose instance has both value signs.
+
+    Larger shifts push more vertices to negative value, so the negative
+    class appears monotonically; binary search finds the frontier, then the
+    neighbourhood is scanned in case the frontier jumps straight from
+    all-non-negative to all-negative.  Desk-scale instances only.
+    """
+    if lo > hi:
+        raise InvalidSpec("empty shift range")
+
+    def classes(shift: int):
+        g = generate(replace(spec, shift=shift))
+        return winning_sign(g)
+
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b) // 2
+        _, neg = classes(mid)
+        if neg:
+            b = mid
+        else:
+            a = mid + 1
+    for shift in range(max(lo, a - 1), min(hi, a + 1) + 1):
+        nonneg, neg = classes(shift)
+        if nonneg and neg:
+            return shift
+    raise InvalidSpec(f"no shift in [{lo}, {hi}] yields both winning classes")

@@ -34,9 +34,13 @@ the very forest Max's strategy is read from.  With ``check=True`` every
 repaired pass is compared with a full search.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
-really belong to Min must be resolved adversarially first.  A Min vertex's
-parallel edges to one target therefore collapse to the lightest of them
-(Max's own parallels need no care: longest paths pick the heaviest).
+really belong to Min must be resolved adversarially first.  Each public
+call builds the game's :class:`_Prepared` form once, and every helper
+reads it.  There a Min vertex keeps one edge per target, weighted by the
+lightest of its parallels.  Max's edges stay as the game lists them:
+longest paths pick the heaviest parallel anyway, and Max's strategy is
+read off them in adjacency order.  The predecessor lists carry the same
+resolved weights, so the searches never look a weight up.
 
 Max wins with a single positional strategy, read off the final longest-path
 forest.  Min in general needs memory: her optimal play is the recorded
@@ -52,14 +56,18 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .core import (
+    INF,
+    NEG_INF,
+    WEIGHT_ENVELOPE,
     GameGraph,
+    MinWitness,
     Owner,
     PositionalStrategy,
+    SolveResult,
     max_abs_weight,
     validate,
     validate_strategy,
 )
-from .core import WEIGHT_ENVELOPE
 from .errors import (
     InvalidStrategy,
     InvariantViolation,
@@ -70,33 +78,9 @@ from .errors import (
     WitnessIncomplete,
 )
 
-NEG_INF = float("-inf")
-INF = float("inf")
-
 #: Condition (i) is verified by Bellman-Ford, which is cubic-ish; the check
 #: only runs on instances up to this many vertices.
 CYCLE_CHECK_LIMIT = 64
-
-
-@dataclass
-class MinWitness:
-    """Min's optimal play: the strategy sequence plus per-vertex death index.
-
-    ``death_index[v]`` is the index of the evaluation that drove ``d(v)`` to
-    minus infinity, or None while the vertex stays winnable for Max.
-    """
-
-    strategies: list[PositionalStrategy]
-    death_index: list[int | None]
-
-
-@dataclass
-class SolveResult:
-    lwub: list  # int or float('inf') per vertex
-    max_strategy: PositionalStrategy
-    min_witness: MinWitness
-    iterations: int
-    final_d: list  # int or float('-inf') per vertex
 
 
 @dataclass(frozen=True)
@@ -115,27 +99,47 @@ class ViolationTrace:
         return best
 
 
-def _effective_min_weights(n, out, is_min):
-    """Per Min vertex, the lightest parallel weight toward each target."""
-    eff: list[dict[int, int] | None] = [None] * n
-    for v in range(n):
-        if not is_min[v]:
-            continue
-        table: dict[int, int] = {}
-        for u, w in out[v]:
-            if u not in table or w < table[u]:
-                table[u] = w
-        eff[v] = table
-    return eff
+class _Prepared:
+    """The solver's form of a game (see the module docstring).
+
+    ``out`` is the game's own out-adjacency.  ``succ[v]`` maps each target
+    of a Min vertex to her lightest parallel weight and is None at Max
+    vertices.  ``pred[u]`` lists ``(v, w)`` for each of Max's edges into
+    ``u`` and for each Min vertex ``v`` with ``u`` in ``succ[v]``.  It is
+    the game's in-adjacency, with new lists only where a Min vertex has
+    parallel edges; nothing writes to it.
+    """
+
+    __slots__ = ("n", "is_min", "out", "succ", "pred")
+
+    def __init__(self, game: GameGraph):
+        n = self.n = game.vertex_count
+        out = self.out = game.out_adjacency
+        is_min = self.is_min = [o is Owner.MIN for o in game.owners]
+        succ = self.succ = [None] * n
+        pred = self.pred = list(game.in_adjacency)
+        for v in range(n):
+            if not is_min[v]:
+                continue
+            edges = out[v]
+            table = succ[v] = dict(edges)
+            if len(table) < len(edges):  # parallel edges: keep the lightest
+                for u, w in edges:
+                    if w < table[u]:
+                        table[u] = w
+                for u, w in table.items():
+                    pred[u] = [e for e in pred[u] if e[0] != v] + [(v, w)]
 
 
-def _residual(v, out_v, eff_v, pi_v, d, dv):
-    """Largest ``w - d(v) + d(u)`` over the strategy-restricted out-edges of v."""
-    if pi_v is not None:
-        return eff_v[pi_v] - dv + d[pi_v]
+def _residual(g, pi, v, d):
+    """Largest ``w + d(u)`` over the strategy-restricted out-edges of v."""
+    succ = g.succ[v]
+    if succ is not None:
+        u = pi[v]
+        return succ[u] + d[u]
     best = NEG_INF
-    for u, w in out_v:
-        t = w - dv + d[u]
+    for u, w in g.out[v]:
+        t = w + d[u]
         if t > best:
             best = t
     return best
@@ -159,7 +163,7 @@ def _deadline(time_limit):
 DEADLINE_STRIDE = 4096
 
 
-def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check, deadline=None):
+def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     """Longest admissible paths to ``targets``, by max-priority search.
 
     Runs backward over in-edges with the potential transformation
@@ -175,6 +179,9 @@ def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check, deadline=None
     computes exactly the longest path whose every suffix weighs at least
     ``-bound``, and leaves ``d(x) = -inf`` when no such path exists.
     """
+    n = g.n
+    pred = g.pred
+    is_min = g.is_min
     d = [NEG_INF] * n
     parent = [-1] * n
     in_targets = bytearray(n)
@@ -194,13 +201,11 @@ def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check, deadline=None
         dy = d[y]
         if key != pot[y] - dy:
             continue  # stale heap entry (lazy deletion)
-        for x, w in inc[y]:
+        for x, w in pred[y]:
             if in_targets[x]:
                 continue
-            if is_min[x]:
-                if pi[x] != y:
-                    continue  # edge removed by the strategy restriction
-                w = eff[x][y]  # Min traverses her lightest parallel
+            if is_min[x] and pi[x] != y:
+                continue  # edge removed by the strategy restriction
             px = pot[x]
             if px == NEG_INF:
                 continue  # already known losing; stays -inf
@@ -222,7 +227,7 @@ def _dijkstra(n, inc, is_min, eff, pi, bound, targets, pot, check, deadline=None
     return d, parent
 
 
-def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
+def _repair(g, pi, bound, pot, parent, roots, deadline):
     """Incremental counterpart of :func:`_dijkstra`: its result given
     ``pot`` and ``parent``, the values and forest of a previous search whose
     targets or strategy differed only at ``roots`` (see the module
@@ -230,6 +235,10 @@ def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
     vertices whose value fell.  It makes none of the debug checks of
     :func:`_dijkstra`: with ``check=True`` the caller runs that search too.
     """
+    pred = g.pred
+    is_min = g.is_min
+    succ_of = g.succ
+    out = g.out
     d = list(pot)
     parent = list(parent)
     # the region: the roots and every forest descendant of one
@@ -240,7 +249,7 @@ def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
             in_region[r] = 1
             region.append(r)
     for y in region:  # grows while it is walked
-        for x, _ in inc[y]:
+        for x, _ in pred[y]:
             if parent[x] == y and not in_region[x]:
                 in_region[x] = 1
                 region.append(x)
@@ -251,9 +260,10 @@ def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
     # values are final; edges into the region carry -inf and never win
     heap = []
     for x in region:
-        if is_min[x]:
+        succ = succ_of[x]
+        if succ is not None:
             u = pi[x]
-            best, arg = d[u] + eff[x][u], u
+            best, arg = d[u] + succ[u], u
         else:
             best, arg = NEG_INF, -1
             for u, w in out[x]:
@@ -276,13 +286,11 @@ def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
         dy = d[y]
         if key != pot[y] - dy:
             continue
-        for x, w in inc[y]:
+        for x, w in pred[y]:
             if not in_region[x]:
                 continue
-            if is_min[x]:
-                if pi[x] != y:
-                    continue
-                w = eff[x][y]
+            if is_min[x] and pi[x] != y:
+                continue
             cand = dy + w
             if cand < -bound:
                 continue
@@ -293,29 +301,28 @@ def _repair(out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline):
     return d, parent, [x for x in region if d[x] != pot[x]]
 
 
-def _check_entry(n, out, is_min, eff, pi, d_prev):
+def _check_entry(g, pi, d_prev):
     """Debug check of the evaluation entry conditions.
 
     (i)  every cycle of the strategy restriction within D minus A is negative
          (Bellman-Ford on small instances);
     (ii) d < 0 on D minus A and d(v) >= d(u) + w(v, u) along restricted edges.
     """
+    def restricted(v):
+        succ = g.succ[v]
+        return g.out[v] if succ is None else [(pi[v], succ[pi[v]])]
+
     core = []  # D \ A
-    for v in range(n):
+    for v in range(g.n):
         dv = d_prev[v]
         if dv == NEG_INF or dv == 0:
             continue
         if dv > 0:
             raise PreconditionViolated("ii", f"d({v}) = {dv} > 0")
         core.append(v)
-        if is_min[v]:
-            u = pi[v]
-            if dv < d_prev[u] + eff[v][u]:
+        for u, w in restricted(v):
+            if dv < d_prev[u] + w:
                 raise PreconditionViolated("ii", f"d({v}) < d({u}) + w along edge ({v}, {u})")
-        else:
-            for u, w in out[v]:
-                if dv < d_prev[u] + w:
-                    raise PreconditionViolated("ii", f"d({v}) < d({u}) + w along edge ({v}, {u})")
     if len(core) > CYCLE_CHECK_LIMIT:
         return
     # Scale weights so that a Bellman-Ford negative cycle in s(e) exists iff
@@ -324,11 +331,7 @@ def _check_entry(n, out, is_min, eff, pi, d_prev):
     L = len(core)
     edges = []
     for v in core:
-        if is_min[v]:
-            restricted = [(pi[v], eff[v][pi[v]])]
-        else:
-            restricted = out[v]
-        for u, w in restricted:
+        for u, w in restricted(v):
             if u in index:
                 edges.append((index[v], index[u], -(L + 1) * w - 1))
     dist = [0] * L
@@ -345,16 +348,13 @@ def _check_entry(n, out, is_min, eff, pi, d_prev):
             raise PreconditionViolated("i", "restriction contains a non-negative cycle")
 
 
-def _leaving(vertices, out, is_min, eff, pi, d):
+def _leaving(g, pi, vertices, d):
     """The vertices among ``vertices`` (of B) left without a non-negative
     restricted out-edge under ``d``."""
-    return {
-        v for v in vertices
-        if _residual(v, out[v], eff[v], pi[v] if is_min[v] else None, d, 0) < 0
-    }
+    return {v for v in vertices if _residual(g, pi, v, d) < 0}
 
 
-def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, prev=None, deadline=None):
+def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
     """One strategy evaluation: returns (d, candidate set, parents, potentials
     of the last pass, passes).
 
@@ -362,13 +362,9 @@ def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, prev=None, dea
     ``d_prev`` plus the Min vertices switched since, which lets even the
     first pass repair the forest instead of searching afresh.
     """
-    B = set()
-    for v in range(n):
-        if d_prev[v] != 0:
-            continue
-        pv = pi[v] if is_min[v] else None
-        if _residual(v, out[v], eff[v], pv, d_prev, 0) >= 0:
-            B.add(v)
+    pred = g.pred
+    is_min = g.is_min
+    B = {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}
     roots = None
     if prev is not None:
         prev_b, parent, switched = prev
@@ -382,22 +378,20 @@ def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, prev=None, dea
             deadline()
         passes += 1
         if roots is None:
-            d, parent = _dijkstra(n, inc, is_min, eff, pi, bound, B, pot, check, deadline)
-            drop = _leaving(B, out, is_min, eff, pi, d)
+            d, parent = _dijkstra(g, pi, bound, B, pot, check, deadline)
+            drop = _leaving(g, pi, B, d)
         else:
-            d, parent, changed = _repair(
-                out, inc, is_min, eff, pi, bound, pot, parent, roots, deadline
-            )
+            d, parent, changed = _repair(g, pi, bound, pot, parent, roots, deadline)
             # a B vertex had a non-negative edge under pot, so it can only
             # lose it along an edge into a changed value
             near = {
-                x for y in changed for x, _ in inc[y]
+                x for y in changed for x, _ in pred[y]
                 if x in B and (not is_min[x] or pi[x] == y)
             }
-            drop = _leaving(near, out, is_min, eff, pi, d)
+            drop = _leaving(g, pi, near, d)
             if check:
-                full, _ = _dijkstra(n, inc, is_min, eff, pi, bound, B, pot, check)
-                if full != d or _leaving(B, out, is_min, eff, pi, full) != drop:
+                full, _ = _dijkstra(g, pi, bound, B, pot, check)
+                if full != d or _leaving(g, pi, B, full) != drop:
                     raise InvariantViolation("incremental evaluation differs from a full search")
         if not drop:
             return d, B, parent, pot, passes
@@ -406,7 +400,7 @@ def _evaluate(n, out, inc, is_min, eff, pi, bound, d_prev, check, prev=None, dea
         roots = drop
 
 
-def _improve(n, is_min, eff, pi, d):
+def _improve(g, pi, d):
     """Switch Min choices violating local optimality; returns the switched
     vertices.
 
@@ -414,15 +408,15 @@ def _improve(n, is_min, eff, pi, d):
     break toward the smallest d(u) + w, then the lowest target index.
     """
     switched = []
-    for v in range(n):
-        if not is_min[v]:
+    for v, succ in enumerate(g.succ):
+        if succ is None:
             continue
         dv = d[v]
         if dv == NEG_INF:
             continue
         cur = pi[v]
         best = None
-        for u, w in eff[v].items():
+        for u, w in succ.items():
             if u == cur:
                 continue  # re-picking the current target is a no-op
             cand = d[u] + w
@@ -434,25 +428,76 @@ def _improve(n, is_min, eff, pi, d):
     return switched
 
 
-def _snapshot(pi, is_min):
-    return PositionalStrategy(Owner.MIN, {v: pi[v] for v in range(len(pi)) if is_min[v]})
+def _snapshot(pi):
+    return PositionalStrategy(Owner.MIN, {v: u for v, u in enumerate(pi) if u is not None})
 
 
-def _initial_pi(game, is_min, initial_strategy):
-    n = game.vertex_count
-    pi = [None] * n
-    if initial_strategy is None:
-        # deterministic default: the lowest-indexed successor
-        for v in range(n):
-            if is_min[v]:
-                pi[v] = min(u for u, _ in game.out_adjacency[v])
-        return pi
-    if initial_strategy.player is not Owner.MIN:
-        raise InvalidStrategy("the improved strategy belongs to Min")
-    validate_strategy(game, initial_strategy)
-    for v, u in initial_strategy.choice.items():
+def _initial_pi(game, g, strategy):
+    """Min's choice per vertex, None at Max's, from ``strategy`` once validated."""
+    if strategy.player is not Owner.MIN:
+        raise InvalidStrategy("expected a Min strategy")
+    validate_strategy(game, strategy)
+    pi = [None] * g.n
+    for v, u in strategy.choice.items():
         pi[v] = u
     return pi
+
+
+def _solve(game, bound, w_max, check, initial_strategy, time_limit):
+    """KASI on a validated game at a non-negative bound."""
+    g = _Prepared(game)
+    n = g.n
+    if initial_strategy is None:  # the lowest-indexed successor
+        pi = [None if succ is None else min(succ) for succ in g.succ]
+    else:
+        pi = _initial_pi(game, g, initial_strategy)
+    d_prev = [0] * n
+    strategies: list[PositionalStrategy] = []
+    death: list[int | None] = [None] * n
+    prev = None
+    max_main = n * n * w_max + 1
+    deadline = _deadline(time_limit)
+    iteration = 0
+    while True:
+        if check:
+            _check_entry(g, pi, d_prev)
+        strategies.append(_snapshot(pi))
+        d, candidates, parents, pot, passes = _evaluate(
+            g, pi, bound, d_prev, check, prev, deadline
+        )
+        if passes > max(1, n):
+            raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
+        strict = False
+        for v in range(n):
+            if d[v] > d_prev[v]:
+                raise InvariantViolation(f"d({v}) increased during evaluation")
+            if d[v] < d_prev[v]:
+                strict = True
+                if d[v] == NEG_INF:
+                    death[v] = iteration
+        if iteration > 0 and not strict:
+            # every iteration after an improvement must strictly decrease d
+            raise InvariantViolation("improvement iteration left d unchanged")
+        iteration += 1
+        if iteration > max_main:
+            raise InvariantViolation(f"main loop exceeded {max_main} iterations")
+        switched = _improve(g, pi, d)
+        if not switched:
+            break
+        prev = (candidates, parents, switched)
+        d_prev = d
+
+    # the forest of a full search on the last pass's input, see module docstring
+    full, parents = _dijkstra(g, pi, bound, candidates, pot, check, deadline)
+    if check and full != d:
+        raise InvariantViolation("final full search differs from the evaluation")
+    return SolveResult(
+        lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
+        max_strategy=_extract_max_strategy(g, d, candidates, parents),
+        min_witness=MinWitness(strategies=strategies, death_index=death),
+        iterations=iteration,
+        final_d=d,
+    )
 
 
 def solve_lwub(
@@ -473,64 +518,7 @@ def solve_lwub(
     bound = int(bound)
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    n = game.vertex_count
-    out = game.out_adjacency
-    inc = game.in_adjacency
-    is_min = [o is Owner.MIN for o in game.owners]
-    eff = _effective_min_weights(n, out, is_min)
-    w_max = max_abs_weight(game)
-    pi = _initial_pi(game, is_min, initial_strategy)
-
-    d_prev = [0] * n
-    strategies: list[PositionalStrategy] = []
-    death: list[int | None] = [None] * n
-    prev = None
-    max_main = n * n * w_max + 1
-    deadline = _deadline(time_limit)
-    iteration = 0
-    while True:
-        if check:
-            _check_entry(n, out, is_min, eff, pi, d_prev)
-        strategies.append(_snapshot(pi, is_min))
-        d, candidates, parents, pot, passes = _evaluate(
-            n, out, inc, is_min, eff, pi, bound, d_prev, check, prev, deadline
-        )
-        if passes > max(1, n):
-            raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
-        strict = False
-        for v in range(n):
-            if d[v] > d_prev[v]:
-                raise InvariantViolation(f"d({v}) increased during evaluation")
-            if d[v] < d_prev[v]:
-                strict = True
-                if d[v] == NEG_INF:
-                    death[v] = iteration
-        if iteration > 0 and not strict:
-            # every iteration after an improvement must strictly decrease d
-            raise InvariantViolation("improvement iteration left d unchanged")
-        iteration += 1
-        if iteration > max_main:
-            raise InvariantViolation(f"main loop exceeded {max_main} iterations")
-        switched = _improve(n, is_min, eff, pi, d)
-        if not switched:
-            break
-        prev = (candidates, parents, switched)
-        d_prev = d
-
-    # the forest of a full search on the last pass's input, see module docstring
-    full, parents = _dijkstra(n, inc, is_min, eff, pi, bound, candidates, pot, check, deadline)
-    if check and full != d:
-        raise InvariantViolation("final full search differs from the evaluation")
-    lwub = [(-dv if dv != NEG_INF else INF) for dv in d]
-    sigma = extract_max_strategy(game, d, candidates, parents)
-    witness = MinWitness(strategies=strategies, death_index=death)
-    return SolveResult(
-        lwub=lwub,
-        max_strategy=sigma,
-        min_witness=witness,
-        iterations=iteration,
-        final_d=d,
-    )
+    return _solve(game, bound, max_abs_weight(game), check, initial_strategy, time_limit)
 
 
 def solve_lb(
@@ -547,7 +535,7 @@ def solve_lb(
         raise OverflowRisk(
             f"(|V|-1)*W*|V| = {(n - 1) * w_max * n} exceeds the 64-bit envelope"
         )
-    return solve_lwub(game, (n - 1) * w_max, check=check, time_limit=time_limit)
+    return _solve(game, (n - 1) * w_max, w_max, check, None, time_limit)
 
 
 def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -578,25 +566,22 @@ def dijkstra_longest(
     to carry potential 0 and - for meaningful results - every relevant edge
     to be non-positive under the potential transformation.
     """
-    n = graph.vertex_count
     targets = set(targets)
     for v in targets:
         if potentials[v] != 0:
             raise ValueError(f"target {v} has potential {potentials[v]}, expected 0")
-    is_min = [o is Owner.MIN for o in graph.owners]
-    eff = _effective_min_weights(n, graph.out_adjacency, is_min)
-    pi = [None] * n
-    for v in range(n):
-        if is_min[v]:
-            if len(eff[v]) > 1:
-                raise InvalidStrategy(
-                    f"Min vertex {v} keeps {len(eff[v])} successors; pass a strategy restriction"
-                )
-            if eff[v]:
-                pi[v] = next(iter(eff[v]))
-    d, _ = _dijkstra(
-        n, graph.in_adjacency, is_min, eff, pi, int(bound), targets, list(potentials), check
-    )
+    g = _Prepared(graph)
+    pi = [None] * g.n
+    for v, succ in enumerate(g.succ):
+        if succ is None:
+            continue
+        if len(succ) > 1:
+            raise InvalidStrategy(
+                f"Min vertex {v} keeps {len(succ)} successors; pass a strategy restriction"
+            )
+        if succ:
+            pi[v] = next(iter(succ))
+    d, _ = _dijkstra(g, pi, int(bound), targets, list(potentials), check)
     return d
 
 
@@ -610,24 +595,14 @@ def evaluate_strategy(
 ) -> list:
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices."""
-    if strategy.player is not Owner.MIN:
-        raise InvalidStrategy("evaluation expects a Min strategy")
-    validate_strategy(game, strategy)
-    n = game.vertex_count
-    is_min = [o is Owner.MIN for o in game.owners]
-    eff = _effective_min_weights(n, game.out_adjacency, is_min)
-    pi = [None] * n
-    for v, u in strategy.choice.items():
-        pi[v] = u
+    g = _Prepared(game)
+    pi = _initial_pi(game, g, strategy)
     d_prev = list(d_prev)
     if check:
-        _check_entry(n, game.out_adjacency, is_min, eff, pi, d_prev)
-    d, _, _, _, passes = _evaluate(
-        n, game.out_adjacency, game.in_adjacency, is_min, eff, pi,
-        int(bound), d_prev, check,
-    )
-    if passes > max(1, n):
-        raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
+        _check_entry(g, pi, d_prev)
+    d, _, _, _, passes = _evaluate(g, pi, int(bound), d_prev, check)
+    if passes > max(1, g.n):
+        raise InvariantViolation(f"evaluation ran {passes} passes on {g.n} vertices")
     return d
 
 
@@ -637,25 +612,13 @@ def improve_strategy(
     strategy: PositionalStrategy,
 ) -> tuple[PositionalStrategy, bool]:
     """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min strategy."""
-    if strategy.player is not Owner.MIN:
-        raise InvalidStrategy("only Min strategies are improved")
-    validate_strategy(game, strategy)
-    n = game.vertex_count
-    is_min = [o is Owner.MIN for o in game.owners]
-    eff = _effective_min_weights(n, game.out_adjacency, is_min)
-    pi = [None] * n
-    for v, u in strategy.choice.items():
-        pi[v] = u
-    switched = _improve(n, is_min, eff, pi, list(d))
-    return _snapshot(pi, is_min), bool(switched)
+    g = _Prepared(game)
+    pi = _initial_pi(game, g, strategy)
+    switched = _improve(g, pi, list(d))
+    return _snapshot(pi), bool(switched)
 
 
-def extract_max_strategy(
-    game: GameGraph,
-    d: Sequence,
-    candidates: set[int],
-    parents: Sequence[int],
-) -> PositionalStrategy:
+def _extract_max_strategy(g, d, candidates, parents) -> PositionalStrategy:
     """Read Max's optimal positional strategy off the final evaluation state.
 
     Vertices in the final candidate set follow any edge that is non-negative
@@ -664,14 +627,14 @@ def extract_max_strategy(
     vertices take their first edge, the choice being irrelevant.
     """
     choice: dict[int, int] = {}
-    for v in range(game.vertex_count):
-        if game.owners[v] is not Owner.MAX:
+    for v in range(g.n):
+        if g.is_min[v]:
             continue
         dv = d[v]
         if dv == NEG_INF:
-            choice[v] = game.out_adjacency[v][0][0]
+            choice[v] = g.out[v][0][0]
         elif v in candidates:
-            for u, w in game.out_adjacency[v]:
+            for u, w in g.out[v]:
                 if w - dv + d[u] >= 0:
                     choice[v] = u
                     break
@@ -714,9 +677,8 @@ def verify_min_witness(
         raise ValueError("credit must be non-negative")
     last = len(witness.strategies) - 1
     choice = [s.choice for s in witness.strategies]
-    is_min = [o is Owner.MIN for o in game.owners]
     # Min traverses the lightest parallel edge to her chosen target.
-    min_edge = _effective_min_weights(game.vertex_count, game.out_adjacency, is_min)
+    min_edge = _Prepared(game).succ
 
     start = (vertex, min(credit, bound), min(death[vertex], last))
     parents: dict[tuple, tuple | None] = {start: None}
@@ -728,7 +690,7 @@ def verify_min_witness(
         state = queue[head]
         head += 1
         v, e, j = state
-        if is_min[v]:
+        if min_edge[v] is not None:
             u = choice[j][v]
             moves = [(u, min_edge[v][u])]
         else:

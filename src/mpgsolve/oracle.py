@@ -17,10 +17,9 @@ These are exactly the two losing conditions of the bounded problem.
 
 from __future__ import annotations
 
-from .core import GameGraph, Owner, max_abs_weight, validate
+from .core import INF, GameGraph, Owner, max_abs_weight, validate
 from .errors import BudgetExceeded
 
-INF = float("inf")
 
 #: Default ceiling on |V| * (b + 1) states for the safety fixpoint.
 DEFAULT_STATE_BUDGET = 10**6

@@ -20,10 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import GameGraph, Owner, validate
+from .core import INF, GameGraph, Owner, validate
 from .errors import TimeLimitExceeded
-
-INF = float("inf")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from mpgsolve import GameGraph, Owner, memory_game, render_game
+from mpgsolve import memory_game, render_game
 from mpgsolve.cli import main
 
 
@@ -45,6 +45,9 @@ class TestSolve:
         path = tmp_path / "broken.mpg"
         path.write_text("p mpg 1 1\ne 0 0 0\n")
         assert main(["solve", str(path)]) == 2
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 2
 
     def test_missing_bound_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
@@ -102,22 +105,14 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main(["bench", str(path), "--repeat", "3",
                      "--problems", "lb,lwub", "--algorithms", "kasi,vi",
-                     "--output", str(out)])
+                     "--bound", "5", "--output", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "instance,n,m,problem,bound,algorithm,seconds,iterations"
         assert len(lines) == 1 + 4  # 2 problems x 2 algorithms
         for line in lines[1:]:
             assert len(line.split(",")) == 8
-        # the default lwub bound is computed from the game, and nothing is
-        # written beside the instance
-        assert not (tmp_path / "memory.mpg.bound").exists()
-        lwub_bound = {line.split(",")[4] for line in lines[1:] if ",lwub," in line}
-        assert lwub_bound == {"5"}
-        path.write_text(render_game(GameGraph(2, [Owner.MAX] * 2, [(0, 1, -4), (1, 1, 0)])))
-        assert main(["bench", str(path), "--repeat", "1", "--problems", "lwub",
-                     "--algorithms", "kasi", "--output", str(out)]) == 0
-        assert out.read_text().splitlines()[1].split(",")[4] == "1"
+        assert main(["bench", str(path), "--problems", "lwub"]) == 2
 
 
 class TestConfig:

@@ -25,7 +25,7 @@ from mpgsolve import (
     verify_min_witness,
     winning_sign,
 )
-from mpgsolve import MEMORY_GAME_BOUND, GenSpec, formats, generate, kasi
+from mpgsolve import MEMORY_GAME_BOUND, GenSpec, formats, generate, kasi, validate
 from conftest import random_game
 
 INF = float("inf")
@@ -196,6 +196,20 @@ class TestSolveLb:
         assert winning_sign(g) == ((0, 1), ())
         assert winning_sign(one_vertex_game(-1)) == ((), (0,))
 
+    def test_each_solve_validates_once(self, monkeypatch):
+        calls = 0
+
+        def counting_validate(game):
+            nonlocal calls
+            calls += 1
+            validate(game)
+
+        monkeypatch.setattr(kasi, "validate", counting_validate)
+        solve_lb(memory_game())
+        assert calls == 1
+        solve_lwub(memory_game(), MEMORY_GAME_BOUND)
+        assert calls == 2
+
 
 class TestMaxStrategy:
     def test_nonnegative_self_loop_kept(self):
@@ -338,12 +352,15 @@ def _digests(res):
 _C11_SHAPE = GenSpec(family="sprand", n=2000, edge_factor=2.0, seed=0,
                      weight_lo=1, weight_hi=10, shift=6)
 _TORUS = GenSpec(family="torus", rows=30, cols=30, seed=0, weight_lo=-5, weight_hi=5)
+# 29 parallel pairs, 13 of them at Min vertices; the other pinned games hold one in all
+_PARALLEL = GenSpec(family="sprand", n=300, edge_factor=8.0, seed=2, weight_lo=-6, weight_hi=6)
 
 
 class TestPinnedOutputs:
     """Rendered values, Max strategy and Min witness, byte for byte: SHA-256
     digests recorded from the solver when every evaluation pass was a full
-    search."""
+    search, and for the parallel-edge game when every search looked Min's
+    lightest parallel weight up per edge."""
 
     @pytest.mark.parametrize("case, solve, want", [
         ("c11-lb", lambda: solve_lb(generate(_C11_SHAPE)),
@@ -369,6 +386,18 @@ class TestPinnedOutputs:
             "da628f192d566a37a7e864e2df3a0eb7c4bcc1ddf732bb9d6860f1ba69252bf6",
             "dca9c049c8bc36c5999422c68a5d6c4d8526ca043ecdfc6f266dcf90834e4cf3",
             "2bea3b3a8fd8798debde95c643138cd6b45f1103cefd84b72daaac2ab13ed07e",
+        )),
+        ("parallel-lb", lambda: solve_lb(generate(_PARALLEL)),
+         (
+            "927fae8c8ae20779afd260e9eaf0be2ef9a1dbaf27bc25b3091eab118bca65db",
+            "15126d7aff5624f80a43bcd1eee0dce514c1fe9943c298afe5e4cbcfefe63d28",
+            "e6c653624f1e37ae1f610c3a8eb0ab757e4c4105918ae37c5ee7a147a2ce019e",
+        )),
+        ("parallel-b10", lambda: solve_lwub(generate(_PARALLEL), 10),
+         (
+            "927fae8c8ae20779afd260e9eaf0be2ef9a1dbaf27bc25b3091eab118bca65db",
+            "15126d7aff5624f80a43bcd1eee0dce514c1fe9943c298afe5e4cbcfefe63d28",
+            "8bf2ea2b36da05b75902551bcdd58c8f0324ba6a694189f55c73847d40a7742b",
         )),
     ])
     def test_outputs_unchanged(self, case, solve, want):
