@@ -14,6 +14,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import formats, kasi, oracle
@@ -73,29 +74,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=args.family,
-        seed=args.seed,
-        n=args.n,
-        edge_factor=args.edge_factor,
-        rows=args.rows,
-        cols=args.cols,
-        layers=args.layers,
-        width=args.width,
-        added_cycles=args.added_cycles,
-        cycle_len=args.cycle_len,
-        weight_lo=args.weight_lo,
-        weight_hi=args.weight_hi,
-        shift=args.shift,
-        grid=args.grid,
-        docks=args.docks,
-        phases=args.phases,
-        sites=args.sites,
-        max_request=args.max_request,
-        refill=args.refill,
-        zones=args.zones,
-        margin=args.margin,
-    )
+    # the gen flags are named after the GenSpec fields they set
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec) if hasattr(args, f.name)})
     graph = generate(spec)
     _write_output(args.output, formats.render_game(graph))
     return 0
@@ -186,6 +166,8 @@ def cmd_bench(args) -> int:
         raise InvalidSpec("--repeat must be >= 1")
     if "lwub" in problems and args.bound is None:
         raise InvalidSpec("--bound is required when --problems includes lwub")
+    if "lwub" not in problems and args.bound is not None:
+        raise InvalidSpec("--bound only applies when --problems includes lwub")
     rows = []
     for name in args.instances:
         path = Path(name)
@@ -300,7 +282,7 @@ def build_parser():
     p.add_argument("--algorithms", default="kasi,vi")
     p.add_argument("--problems", default="lb")
     p.add_argument("--bound", type=int, default=None,
-                   help="lwub bound; required when --problems includes lwub")
+                   help="lwub bound; required when --problems includes lwub, and only then")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-run limit; timed-out cells report iterations=-1")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -62,6 +63,20 @@ class GameGraph:
         self.vertex_count = int(vertex_count)
         self.owners = tuple(owners)
         self.edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
+        self._link()
+
+    @classmethod
+    def from_columns(cls, vertex_count: int, owners: Sequence[Owner], tails: Iterable[int],
+                     heads: Iterable[int], weights: Iterable[int]) -> GameGraph:
+        """The graph with edges ``zip(tails, heads, weights)``.  Unlike the
+        constructor it converts nothing, so the count and columns must be ints."""
+        graph = cls.__new__(cls)
+        graph.vertex_count, graph.owners = vertex_count, tuple(owners)
+        graph.edges = tuple(zip(tails, heads, weights))
+        graph._link()
+        return graph
+
+    def _link(self) -> None:
         n = self.vertex_count
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -142,11 +157,10 @@ def validate(graph: GameGraph) -> None:
         u, v, _ = e
         if not (0 <= u < n and 0 <= v < n):
             raise DanglingEdge(e)
-    for v in range(n):
-        if not graph.out_adjacency[v]:
-            raise ZeroOutDegree(v)
-    out_count = sum(len(a) for a in graph.out_adjacency)
-    in_count = sum(len(a) for a in graph.in_adjacency)
+    if not all(graph.out_adjacency):
+        raise ZeroOutDegree(graph.out_adjacency.index([]))
+    out_count = sum(map(len, graph.out_adjacency))
+    in_count = sum(map(len, graph.in_adjacency))
     if not (out_count == in_count == len(graph.edges)):
         raise AdjacencyMismatch()
 
@@ -209,7 +223,7 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
 
 def max_abs_weight(graph: GameGraph) -> int:
     """Maximum absolute edge weight W; 0 when every weight is zero."""
-    return max((abs(w) for _, _, w in graph.edges), default=0)
+    return max(map(abs, map(itemgetter(2), graph.edges)), default=0)
 
 
 def _step_weight(graph: GameGraph, u: int, v: int) -> int:

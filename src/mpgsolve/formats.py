@@ -13,26 +13,101 @@ then target, then weight, so parse(render(g)) equals g up to edge order.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight, validate
 from .core import INF, WEIGHT_ENVELOPE, MinWitness, SolveResult
-from .errors import OverflowRisk, ParseError
+from .errors import InvariantViolation, OverflowRisk, ParseError
 
 INF_TOKEN = "inf"
 
 
+#: The bytes of a game text that splits into lines as the line loop splits
+#: it.  A text with any other byte (a comment's "c", a carriage return, a
+#: form feed) is read in its cleaned form, as is one whose lines do not all
+#: start with a tag.
+_PLAIN = b" \t\n0123456789-mpgoeMAXIN"
+
+#: Consecutive lines that start with the same tag.
+_BLOCK = re.compile(r"(?:p[^\n]*\n?)+|(?:o[^\n]*\n?)+|(?:e[^\n]*\n?)+")
+
+_OWNER = {o.value: o for o in Owner}
+
+
 def parse_game(text: str) -> GameGraph:
-    """Parse the game grammar; raises ParseError or a ValidationError."""
+    """Parse the game grammar; raises ParseError or a ValidationError.
+
+    Every well-formed file takes one path: each block of consecutive records
+    with the same tag is tokenised by one ``split()`` and converted a column
+    at a time.  A file that path rejects goes through the line loop of
+    :func:`_raise_line_error`, which only words the error.
+    """
+    plain = text.isascii() and not text.encode().translate(None, _PLAIN)
+    # otherwise the lines the line loop reads as records, stripped and joined by LF
+    parts = (plain and _records(text)) or _records(
+        "\n".join(line for line in map(str.strip, text.splitlines()) if line and line[0] != "c")
+    )
+    if parts is None:
+        _raise_line_error(text)
+    n, owners, tails, heads, weights = parts
+    graph = GameGraph.from_columns(n, owners, tails, heads, weights)
+    validate(graph)
+    if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
+        raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
+    return graph
+
+
+def _records(text: str):
+    """``(n, owners, tails, heads, weights)`` of a game text split into lines
+    at LF alone, or None unless every line is a record and they make a
+    well-formed game."""
     n = m = None
-    owners: list[Owner | None] = []
-    edges: list[tuple[int, int, int]] = []
+    ids, owners, tails, heads, weights = [], [], [], [], []
+    pos = 0
+    try:
+        while pos < len(text):
+            block = _BLOCK.match(text, pos)
+            if block is None:
+                return None
+            tag, tokens, pos = text[pos], block.group().split(), block.end()
+            k = len(tokens)
+            if tag == "p" and n is None and k == 4 and tokens[:2] == ["p", "mpg"]:
+                n, m = int(tokens[2]), int(tokens[3])
+            elif tag == "o" and n is not None and tokens[::3].count("o") * 3 == k:
+                ids += map(int, tokens[1::3])
+                owners += map(_OWNER.__getitem__, tokens[2::3])
+            elif tag == "e" and n is not None and tokens[::4].count("e") * 4 == k:
+                tails += map(int, tokens[1::4])
+                heads += map(int, tokens[2::4])
+                weights += map(int, tokens[3::4])
+            else:
+                return None
+        # Every line starts with a tag, and no other field can, so with as
+        # many lines as records each line holds exactly one record.
+        lines = text.count("\n") + (not text.endswith("\n"))
+        by_id = dict(zip(ids, owners))
+        if n is None or n <= 0 or m < 0 or lines != 1 + n + m or not len(ids) == len(by_id) == n:
+            return None
+        owners = list(map(by_id.__getitem__, range(n)))
+    except (ValueError, KeyError):
+        return None
+    if len(tails) == m and (not tails or 0 <= min(tails + heads) <= max(tails + heads) < n):
+        return n, owners, tails, heads, weights
+    return None
+
+
+def _raise_line_error(text: str) -> None:
+    """Raise the ParseError of a game text the tokeniser rejected, worded
+    line by line: the first offending line and its number, or line 0 for
+    the file as a whole."""
+    n = m = None
+    edges = 0
     seen_owner: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = line.split()
         tag = fields[0]
         if tag == "p":
             if n is not None:
@@ -42,7 +117,6 @@ def parse_game(text: str) -> GameGraph:
             n, m = _int(fields[2], lineno), _int(fields[3], lineno)
             if n <= 0 or m < 0:
                 raise ParseError(lineno, "header counts out of range")
-            owners = [None] * n
         elif tag == "o":
             if n is None:
                 raise ParseError(lineno, "owner line before header")
@@ -54,10 +128,8 @@ def parse_game(text: str) -> GameGraph:
             if v in seen_owner:
                 raise ParseError(lineno, f"duplicate owner for vertex {v}")
             seen_owner.add(v)
-            try:
-                owners[v] = Owner(fields[2])
-            except ValueError:
-                raise ParseError(lineno, f"unknown owner {fields[2]!r}") from None
+            if fields[2] not in _OWNER:
+                raise ParseError(lineno, f"unknown owner {fields[2]!r}")
         elif tag == "e":
             if n is None:
                 raise ParseError(lineno, "edge line before header")
@@ -66,7 +138,7 @@ def parse_game(text: str) -> GameGraph:
             u, v, w = (_int(f, lineno) for f in fields[1:])
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(lineno, f"edge ({u}, {v}) out of range")
-            edges.append((u, v, w))
+            edges += 1
         else:
             raise ParseError(lineno, f"unknown record {tag!r}")
     if n is None:
@@ -74,13 +146,9 @@ def parse_game(text: str) -> GameGraph:
     if len(seen_owner) != n:
         missing = next(v for v in range(n) if v not in seen_owner)
         raise ParseError(0, f"missing owner line for vertex {missing}")
-    if len(edges) != m:
-        raise ParseError(0, f"header announced {m} edges, found {len(edges)}")
-    graph = GameGraph(n, owners, edges)
-    validate(graph)
-    if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
-        raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
-    return graph
+    if edges != m:
+        raise ParseError(0, f"header announced {m} edges, found {edges}")
+    raise InvariantViolation("the tokeniser rejected a game the line loop accepts")
 
 
 def _int(token: str, lineno: int) -> int:

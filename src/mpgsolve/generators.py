@@ -103,9 +103,7 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
         u = structure.randrange(n)
         v = structure.randrange(n)
         edges.append((u, v, _draw_weight(spec, weights)))
-    g = GameGraph(n, _draw_owners(spec, n), edges)
-    validate(g)
-    return g
+    return GameGraph(n, _draw_owners(spec, n), edges)
 
 
 def _add_cycles(spec: GenSpec, n: int, edges, structure, weights) -> None:
@@ -133,9 +131,7 @@ def gen_torus(spec: GenSpec) -> GameGraph:
             edges.append((v, r * cols + (c + 1) % cols, _draw_weight(spec, weights)))
             edges.append((v, ((r + 1) % rows) * cols + c, _draw_weight(spec, weights)))
     _add_cycles(spec, n, edges, structure, weights)
-    g = GameGraph(n, _draw_owners(spec, n), edges)
-    validate(g)
-    return g
+    return GameGraph(n, _draw_owners(spec, n), edges)
 
 
 def gen_layered(spec: GenSpec) -> GameGraph:
@@ -155,9 +151,7 @@ def gen_layered(spec: GenSpec) -> GameGraph:
             edges.append((v, nl + i, _draw_weight(spec, weights)))
             edges.append((v, nl + (i + 1) % width, _draw_weight(spec, weights)))
     _add_cycles(spec, n, edges, structure, weights)
-    g = GameGraph(n, _draw_owners(spec, n), edges)
-    validate(g)
-    return g
+    return GameGraph(n, _draw_owners(spec, n), edges)
 
 
 def _gen_collect(spec: GenSpec) -> GameGraph:
@@ -284,36 +278,21 @@ def _gen_taxi(spec: GenSpec) -> GameGraph:
     return GameGraph(n, owners, edges)
 
 
-_MODEL_BUILDERS = {
+_FAMILIES = {
+    "sprand": gen_sprand,
+    "torus": gen_torus,
+    "layered": gen_layered,
     "collect": _gen_collect,
     "supply": _gen_supply,
     "taxi": _gen_taxi,
 }
 
 
-def gen_model(spec: GenSpec) -> GameGraph:
-    """Build one of the reactive-system models (collect, supply, taxi)."""
-    builder = _MODEL_BUILDERS.get(spec.family)
-    if builder is None:
-        raise InvalidSpec(f"unknown model family {spec.family!r}")
-    g = builder(spec)
-    validate(g)
-    return g
-
-
-_FAMILIES = {
-    "sprand": gen_sprand,
-    "torus": gen_torus,
-    "layered": gen_layered,
-    "collect": gen_model,
-    "supply": gen_model,
-    "taxi": gen_model,
-}
-
-
 def generate(spec: GenSpec) -> GameGraph:
-    """Dispatch on ``spec.family``."""
+    """Dispatch on ``spec.family``; the game is validated."""
     builder = _FAMILIES.get(spec.family)
     if builder is None:
         raise InvalidSpec(f"unknown family {spec.family!r}; choose from {sorted(_FAMILIES)}")
-    return builder(spec)
+    graph = builder(spec)
+    validate(graph)
+    return graph

@@ -33,6 +33,15 @@ full search on the final ``B``, with the last pass's potentials, rebuilds
 the very forest Max's strategy is read from.  With ``check=True`` every
 repaired pass is compared with a full search.
 
+Outside the searches an iteration reads only the vertices whose value fell,
+which the repairs report.  After an improvement ``B`` is the previous ``B``
+minus the switched vertices: only ``B`` has ``d = 0``, and only a switch
+gives up a non-negative edge.  From the second improvement on, only a Min
+vertex with an edge into a fallen value is tested for switching, and the
+descent check and the death index read the fallen set alone; with
+``check=True`` each is compared with the full scan it replaces.  A heap
+entry is the integer ``key * n + v``, which orders as ``(key, v)`` does.
+
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially first.  Each public
 call builds the game's :class:`_Prepared` form once, and every helper
@@ -66,7 +75,6 @@ from .core import (
     SolveResult,
     max_abs_weight,
     validate,
-    validate_strategy,
 )
 from .errors import (
     InvalidStrategy,
@@ -189,17 +197,18 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     for v in sorted(targets):
         d[v] = 0
         in_targets[v] = 1
-        heap.append((0, v))
+        heap.append(v)  # key 0
     heapify(heap)
     pops = 0
     while heap:
-        key, y = heappop(heap)
+        item = heappop(heap)
         if deadline is not None:
             pops += 1
             if pops % DEADLINE_STRIDE == 0:
                 deadline()
+        y = item % n
         dy = d[y]
-        if key != pot[y] - dy:
+        if item != (pot[y] - dy) * n + y:
             continue  # stale heap entry (lazy deletion)
         for x, w in pred[y]:
             if in_targets[x]:
@@ -219,7 +228,7 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
                     )
                 d[x] = cand
                 parent[x] = y
-                heappush(heap, (px - cand, x))
+                heappush(heap, (px - cand) * n + x)
     if check:
         for v in range(n):
             if d[v] > pot[v]:
@@ -239,12 +248,13 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
     is_min = g.is_min
     succ_of = g.succ
     out = g.out
+    n = g.n
     d = list(pot)
     parent = list(parent)
     # the region: the roots and every forest descendant of one
-    in_region = bytearray(len(d))
+    in_region = bytearray(n)
     region = []
-    for r in roots:
+    for r in sorted(roots):  # the seeding below depends on the region's order
         if not in_region[r]:
             in_region[r] = 1
             region.append(r)
@@ -256,8 +266,9 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
     for x in region:
         d[x] = NEG_INF
         parent[x] = -1
-    # seed each region vertex from its edges into the untouched part, whose
-    # values are final; edges into the region carry -inf and never win
+    # seed each region vertex from its restricted out-edges: values outside
+    # the region are final, and a region vertex seeded earlier in this loop
+    # already holds its seed (a lower bound on its value), others -inf
     heap = []
     for x in region:
         succ = succ_of[x]
@@ -273,18 +284,19 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
         if best >= -bound:
             d[x] = best
             parent[x] = arg
-            heap.append((pot[x] - best, x))
+            heap.append((pot[x] - best) * n + x)
     heapify(heap)
     # the search of _dijkstra, confined to the region
     pops = 0
     while heap:
-        key, y = heappop(heap)
+        item = heappop(heap)
         if deadline is not None:
             pops += 1
             if pops % DEADLINE_STRIDE == 0:
                 deadline()
+        y = item % n
         dy = d[y]
-        if key != pot[y] - dy:
+        if item != (pot[y] - dy) * n + y:
             continue
         for x, w in pred[y]:
             if not in_region[x]:
@@ -297,7 +309,7 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
             if cand > d[x]:
                 d[x] = cand
                 parent[x] = y
-                heappush(heap, (pot[x] - cand, x))
+                heappush(heap, (pot[x] - cand) * n + x)
     return d, parent, [x for x in region if d[x] != pot[x]]
 
 
@@ -356,7 +368,8 @@ def _leaving(g, pi, vertices, d):
 
 def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
     """One strategy evaluation: returns (d, candidate set, parents, potentials
-    of the last pass, passes).
+    of the last pass, passes, fallen), ``fallen`` holding the vertices whose
+    value fell below ``d_prev``.
 
     ``prev`` is None, or the candidate set and parents that came with
     ``d_prev`` plus the Min vertices switched since, which lets even the
@@ -364,13 +377,19 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
     """
     pred = g.pred
     is_min = g.is_min
-    B = {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}
-    roots = None
-    if prev is not None:
+    if prev is None:
+        B = {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}
+        roots = None
+    else:
+        # the previous evaluation ended with d = 0 exactly on prev_b, every
+        # prev_b vertex keeping a non-negative restricted edge; a switched
+        # vertex gave its edge up for a negative one
         prev_b, parent, switched = prev
-        if check and not B <= prev_b:
-            raise InvariantViolation("candidate set gained vertices across evaluations")
-        roots = (prev_b - B).union(switched)
+        B = prev_b.difference(switched)
+        if check and B != {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}:
+            raise InvariantViolation("candidate set differs from a full scan")
+        roots = switched
+    fallen = set()
     pot = d_prev
     passes = 0
     while True:
@@ -380,8 +399,10 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         if roots is None:
             d, parent = _dijkstra(g, pi, bound, B, pot, check, deadline)
             drop = _leaving(g, pi, B, d)
+            fallen.update(v for v in range(g.n) if d[v] != pot[v])
         else:
             d, parent, changed = _repair(g, pi, bound, pot, parent, roots, deadline)
+            fallen.update(changed)
             # a B vertex had a non-negative edge under pot, so it can only
             # lose it along an edge into a changed value
             near = {
@@ -394,21 +415,23 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
                 if full != d or _leaving(g, pi, B, full) != drop:
                     raise InvariantViolation("incremental evaluation differs from a full search")
         if not drop:
-            return d, B, parent, pot, passes
+            return d, B, parent, pot, passes, fallen
         B = B.difference(drop)
         pot = d
         roots = drop
 
 
-def _improve(g, pi, d):
-    """Switch Min choices violating local optimality; returns the switched
-    vertices.
+def _improve(g, pi, d, tested):
+    """Switch Min choices violating local optimality among the vertices
+    ``tested``; returns the switched vertices.
 
     The condition is tested on effective (lightest-parallel) weights; ties
     break toward the smallest d(u) + w, then the lowest target index.
     """
     switched = []
-    for v, succ in enumerate(g.succ):
+    succ_of = g.succ
+    for v in tested:
+        succ = succ_of[v]
         if succ is None:
             continue
         dv = d[v]
@@ -432,13 +455,21 @@ def _snapshot(pi):
     return PositionalStrategy(Owner.MIN, {v: u for v, u in enumerate(pi) if u is not None})
 
 
-def _initial_pi(game, g, strategy):
-    """Min's choice per vertex, None at Max's, from ``strategy`` once validated."""
+def _initial_pi(g, strategy):
+    """Min's choice per vertex, None at Max's, from ``strategy`` once checked
+    to choose an edge at every Min vertex and nowhere else."""
     if strategy.player is not Owner.MIN:
         raise InvalidStrategy("expected a Min strategy")
-    validate_strategy(game, strategy)
+    choice = strategy.choice.keys()
+    owned = {v for v, succ in enumerate(g.succ) if succ is not None}
+    if choice != owned:
+        raise InvalidStrategy(
+            f"strategy domain mismatch (missing {sorted(owned - choice)}, extra {sorted(choice - owned)})"
+        )
     pi = [None] * g.n
     for v, u in strategy.choice.items():
+        if u not in g.succ[v]:
+            raise InvalidStrategy(f"choice {v} -> {u} is not an edge")
         pi[v] = u
     return pi
 
@@ -446,11 +477,11 @@ def _initial_pi(game, g, strategy):
 def _solve(game, bound, w_max, check, initial_strategy, time_limit):
     """KASI on a validated game at a non-negative bound."""
     g = _Prepared(game)
-    n = g.n
+    n, pred, is_min = g.n, g.pred, g.is_min
     if initial_strategy is None:  # the lowest-indexed successor
         pi = [None if succ is None else min(succ) for succ in g.succ]
     else:
-        pi = _initial_pi(game, g, initial_strategy)
+        pi = _initial_pi(g, initial_strategy)
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
@@ -462,26 +493,31 @@ def _solve(game, bound, w_max, check, initial_strategy, time_limit):
         if check:
             _check_entry(g, pi, d_prev)
         strategies.append(_snapshot(pi))
-        d, candidates, parents, pot, passes = _evaluate(
+        d, candidates, parents, pot, passes, fallen = _evaluate(
             g, pi, bound, d_prev, check, prev, deadline
         )
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
-        strict = False
-        for v in range(n):
-            if d[v] > d_prev[v]:
-                raise InvariantViolation(f"d({v}) increased during evaluation")
-            if d[v] < d_prev[v]:
-                strict = True
-                if d[v] == NEG_INF:
-                    death[v] = iteration
-        if iteration > 0 and not strict:
+        # check mode's full searches have already found d <= d_prev
+        if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
+            raise InvariantViolation("fallen set differs from a full scan")
+        for v in fallen:
+            if d[v] == NEG_INF:
+                death[v] = iteration
+        if iteration > 0 and not fallen:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
+        # From the second improvement on, a Min vertex whose successors all
+        # kept their values still passes the previous test: its own value
+        # can only have fallen, and a switched vertex fell to its new edge.
+        tested = range(n) if iteration == 0 else {x for y in fallen for x, _ in pred[y] if is_min[x]}
         iteration += 1
         if iteration > max_main:
             raise InvariantViolation(f"main loop exceeded {max_main} iterations")
-        switched = _improve(g, pi, d)
+        full = check and sorted(_improve(g, list(pi), d, range(n)))
+        switched = _improve(g, pi, d, tested)
+        if check and full != sorted(switched):
+            raise InvariantViolation("restricted improvement differs from a full scan")
         if not switched:
             break
         prev = (candidates, parents, switched)
@@ -596,11 +632,11 @@ def evaluate_strategy(
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices."""
     g = _Prepared(game)
-    pi = _initial_pi(game, g, strategy)
+    pi = _initial_pi(g, strategy)
     d_prev = list(d_prev)
     if check:
         _check_entry(g, pi, d_prev)
-    d, _, _, _, passes = _evaluate(g, pi, int(bound), d_prev, check)
+    d, _, _, _, passes, _ = _evaluate(g, pi, int(bound), d_prev, check)
     if passes > max(1, g.n):
         raise InvariantViolation(f"evaluation ran {passes} passes on {g.n} vertices")
     return d
@@ -613,8 +649,8 @@ def improve_strategy(
 ) -> tuple[PositionalStrategy, bool]:
     """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min strategy."""
     g = _Prepared(game)
-    pi = _initial_pi(game, g, strategy)
-    switched = _improve(g, pi, list(d))
+    pi = _initial_pi(g, strategy)
+    switched = _improve(g, pi, list(d), range(g.n))
     return _snapshot(pi), bool(switched)
 
 

@@ -114,6 +114,11 @@ class TestBench:
             assert len(line.split(",")) == 8
         assert main(["bench", str(path), "--problems", "lwub"]) == 2
 
+    def test_bound_without_lwub_exits_2(self, tmp_path, capsys):
+        path = write_memory_game(tmp_path)
+        assert main(["bench", str(path), "--bound", "5", "--repeat", "1"]) == 2
+        assert "--bound only applies" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_config_presets_flags(self, tmp_path, capsys):

@@ -1,8 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpgsolve import (
+    GameGraph,
     GenSpec,
     OverflowRisk,
     Owner,
@@ -22,8 +26,15 @@ from mpgsolve import (
     render_witness,
     solve_lwub,
 )
+from mpgsolve import formats
 
 INF = float("inf")
+
+
+def _assert_parse_error(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_game(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
 
 
 class TestGameGrammar:
@@ -38,24 +49,62 @@ class TestGameGrammar:
         assert parse_game(text).owners == (Owner.MIN,)
 
     def test_missing_owner_line(self):
-        with pytest.raises(ParseError):
-            parse_game("p mpg 2 2\no 0 MAX\ne 0 1 1\ne 1 0 1\n")
+        _assert_parse_error("p mpg 2 2\no 0 MAX\ne 0 1 1\ne 1 0 1\n", 0, "missing owner line for vertex 1")
 
     def test_duplicate_header(self):
-        with pytest.raises(ParseError):
-            parse_game("p mpg 1 1\np mpg 1 1\no 0 MAX\ne 0 0 0\n")
+        _assert_parse_error("p mpg 1 1\np mpg 1 1\no 0 MAX\ne 0 0 0\n", 2, "duplicate header")
 
     def test_edge_count_mismatch(self):
-        with pytest.raises(ParseError):
-            parse_game("p mpg 1 2\no 0 MAX\ne 0 0 0\n")
+        _assert_parse_error("p mpg 1 2\no 0 MAX\ne 0 0 0\n", 0, "header announced 2 edges, found 1")
 
     def test_out_of_range_edge(self):
-        with pytest.raises(ParseError):
-            parse_game("p mpg 1 1\no 0 MAX\ne 0 3 0\n")
+        _assert_parse_error("p mpg 1 1\no 0 MAX\ne 0 3 0\n", 3, "edge (0, 3) out of range")
 
     def test_unknown_record(self):
-        with pytest.raises(ParseError):
-            parse_game("p mpg 1 1\no 0 MAX\nq 0 0 0\n")
+        _assert_parse_error("p mpg 1 1\no 0 MAX\nq 0 0 0\n", 3, "unknown record 'q'")
+
+    # Each of these is rejected by the tokenised path, most of them for a
+    # record split over lines, two on one line or a tag out of place; the
+    # line loop words the error and names the first offending line.
+    @pytest.mark.parametrize("text, line, reason", [
+        ("", 0, "missing header"),
+        ("c only a comment\n", 0, "missing header"),
+        ("o 0 MAX\np mpg 1 1\ne 0 0 0\n", 1, "owner line before header"),
+        ("e 0 0 0\np mpg 1 1\no 0 MAX\n", 1, "edge line before header"),
+        ("p mpg 1\no 0 MAX\ne 0 0 0\n", 1, "header must be 'p mpg <n> <m>'"),
+        ("p mpgx 1 1\no 0 MAX\ne 0 0 0\n", 1, "header must be 'p mpg <n> <m>'"),
+        ("p mpg 0 0\n", 1, "header counts out of range"),
+        ("p mpg 1 -1\no 0 MAX\n", 1, "header counts out of range"),
+        ("p mpg x 1\no 0 MAX\ne 0 0 0\n", 1, "not an integer: 'x'"),
+        ("p mpg 1 1\no 0 MAX extra\ne 0 0 0\n", 2, "owner line must be 'o <v> <MAX|MIN>'"),
+        ("p mpg 2 2\no 0 MAX\no 1\nMAX\ne 0 1 1\ne 1 0 1\n", 3, "owner line must be 'o <v> <MAX|MIN>'"),
+        ("p mpg 2 2\no 0 MAX o 1 MAX\n\ne 0 1 1\ne 1 0 1\n", 2, "owner line must be 'o <v> <MAX|MIN>'"),
+        ("p mpg 2 2\no 0 MAX\no 1 MAX\ne 0 1 1\ne 1 0 1 e\n", 5, "edge line must be 'e <u> <v> <w>'"),
+        ("p mpg 2 2\no 0 MAX\no 1 MAX\ne 0 1\n1\ne 1 0 1\n", 4, "edge line must be 'e <u> <v> <w>'"),
+        ("p mpg 2 2\no 0 MAX\no 1 MAX\ne 0 1 1 e 1 0 1\n", 4, "edge line must be 'e <u> <v> <w>'"),
+        ("p mpg 2 2\no 0 MAX\no 0 MIN\ne 0 1 1\ne 1 0 1\n", 3, "duplicate owner for vertex 0"),
+        ("p mpg 2 2\no 0 MAX\no 2 MIN\ne 0 1 1\ne 1 0 1\n", 3, "vertex 2 out of range"),
+        ("p mpg 2 2\no 0 MAX\no 1 max\ne 0 1 1\ne 1 0 1\n", 3, "unknown owner 'max'"),
+        ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 1 1.5\ne 1 0 1\n", 4, "not an integer: '1.5'"),
+        ("p mpg 2 2\no 0 MAX\no 1 MIN\ne -1 1 1\ne 1 0 1\n", 4, "edge (-1, 1) out of range"),
+        ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 1 1\ne 1 0 1\ne 1 1 1\n", 0, "header announced 2 edges, found 3"),
+        ("p mpg 2 2\r\no 0 MAX\r\no 1 MIN\r\ne 0 1 1\r\nx\r\n", 5, "unknown record 'x'"),
+        ("p mpg 2 2\n\to 0 MAX\no 1 MIN\ne 0 1 1\n  oo 1 0 1\n", 5, "unknown record 'oo'"),
+        ("p mpg 2 2\no 0 MAX\ne 0 1 1\no 1 MIN\ne 1 0 1\np mpg 2 2\n", 6, "duplicate header"),
+        ("p mpg 2 2\no 0 MAX\ne 0 1 1\no 1 MIN\ne 1 0 1\n7\n", 6, "unknown record '7'"),
+    ])
+    def test_error_message_and_line(self, text, line, reason):
+        _assert_parse_error(text, line, reason)
+
+    def test_large_rendered_game_skips_the_line_loop(self, monkeypatch):
+        g = generate(GenSpec(family="sprand", n=20000, edge_factor=2.0, seed=0,
+                             weight_lo=1, weight_hi=10, shift=6))
+
+        def fail(text):
+            raise AssertionError("the line loop ran on a well-formed game")
+
+        monkeypatch.setattr(formats, "_raise_line_error", fail)
+        assert parse_game(render_game(g)) == g
 
     def test_zero_out_degree_rejected(self):
         with pytest.raises(ZeroOutDegree):
@@ -93,6 +142,69 @@ class TestGameGrammar:
                 spec = GenSpec(family=family, zones=rng.randint(2, 3), seed=i)
             g = generate(spec)
             assert parse_game(render_game(g)) == g
+
+
+def _line_parse(text):
+    """The line-by-line reading of a well-formed game text: the reference
+    for the tokenised path of ``parse_game``."""
+    n, owners, edges = None, {}, []
+    for raw in text.splitlines():
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
+            continue
+        if fields[0] == "p":
+            n = int(fields[2])
+        elif fields[0] == "o":
+            owners[int(fields[1])] = Owner(fields[2])
+        else:
+            edges.append(tuple(int(f) for f in fields[1:]))
+    return GameGraph(n, [owners[v] for v in range(n)], edges)
+
+
+@st.composite
+def varied_game_texts(draw):
+    """A small game's text as a person might write it: comment and blank
+    lines anywhere, runs of spaces and tabs, indented lines, CRLF, leading
+    zeros, owners in any order and owner lines among the edge lines."""
+    n = draw(st.integers(1, 6))
+    owners = [draw(st.sampled_from(["MAX", "MIN"])) for _ in range(n)]
+    edges = [(v, draw(st.integers(0, n - 1)), draw(st.integers(-30, 30)))
+             for v in range(n) for _ in range(draw(st.integers(1, 3)))]
+    draw(st.randoms(use_true_random=False)).shuffle(edges)
+    order = draw(st.permutations(range(n)))
+    records = [["o", str(v), owners[v]] for v in order]
+    # merge the edge lines in, keeping their own order
+    for u, v, w in edges:
+        at = draw(st.integers(0, len(records)))
+        at = max([at] + [i + 1 for i, r in enumerate(records) if r[0] == "e"])
+        records.insert(at, ["e", str(u), str(v), str(w)])
+    records.insert(0, ["p", "mpg", str(n), str(len(edges))])
+    space = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", "", " ", "\t", " \t"])
+    filler = st.sampled_from(["", "   ", "\t", "c", "c a comment", "c 0 1 2", "ce 0 0 0", "  c indented"])
+    zeros = draw(st.booleans())
+    lines = []
+    for fields in records:
+        lines.extend(draw(st.lists(filler, max_size=2)))
+        if zeros:
+            fields = [f"0{f}" if f.isdigit() else f for f in fields]
+        lines.append(draw(pad) + "".join(f + draw(space) for f in fields[:-1]) + fields[-1] + draw(pad))
+    lines.extend(draw(st.lists(filler, max_size=2)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(varied_game_texts())
+def test_tokenised_parse_equals_the_line_loop(text):
+    with mock.patch.object(formats, "_raise_line_error", side_effect=AssertionError("line loop ran")):
+        got = parse_game(text)
+    want = _line_parse(text)
+    assert got.vertex_count == want.vertex_count
+    assert got.owners == want.owners
+    assert got.edges == want.edges
+    assert got.out_adjacency == want.out_adjacency
+    assert got.in_adjacency == want.in_adjacency
 
 
 class TestResultFormat:

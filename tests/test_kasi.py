@@ -1,11 +1,13 @@
 import hashlib
 import heapq
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from mpgsolve import (
     GameGraph,
+    InvalidStrategy,
     Owner,
     PositionalStrategy,
     PositiveTransformedEdge,
@@ -26,6 +28,7 @@ from mpgsolve import (
     winning_sign,
 )
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, formats, generate, kasi, validate
+from mpgsolve.core import validate_strategy
 from conftest import random_game
 
 INF = float("inf")
@@ -402,3 +405,55 @@ class TestPinnedOutputs:
     ])
     def test_outputs_unchanged(self, case, solve, want):
         assert _digests(solve()) == want
+
+
+class TestHeapPops:
+    """Heap pops of three pinned games, counted with a patched ``heappop``.
+    They show that a change did the same search work, and that the searches
+    depend on nothing but their inputs: ``_repair`` seeds its region in a
+    fixed order."""
+
+    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 9006), (_TORUS, 4681), (_PARALLEL, 625)])
+    def test_pop_counts(self, monkeypatch, spec, want):
+        pops = 0
+
+        def counting_pop(heap):
+            nonlocal pops
+            pops += 1
+            return heapq.heappop(heap)
+
+        game = generate(spec)
+        monkeypatch.setattr(kasi, "heappop", counting_pop)
+        solve_lb(game)
+        assert pops == want
+
+
+class TestStrategyChecks:
+    """Every entry point that takes a Min strategy rejects a bad one with the
+    messages of ``core.validate_strategy``."""
+
+    GAME = GameGraph(3, [MAX, MIN, MIN], [(0, 1, 0), (1, 0, -1), (1, 2, 0), (2, 2, 0)])
+
+    def entry_points(self, strategy):
+        g = self.GAME
+        return [
+            lambda: evaluate_strategy(g, 5, strategy, [0, 0, 0]),
+            lambda: improve_strategy(g, [0, 0, 0], strategy),
+            lambda: solve_lwub(g, 5, initial_strategy=strategy),
+        ]
+
+    @pytest.mark.parametrize("choice, message", [
+        ({1: 0}, "strategy domain mismatch (missing [2], extra [])"),
+        ({0: 1, 1: 0, 2: 2}, "strategy domain mismatch (missing [], extra [0])"),
+        ({1: 0, 2: 2, 7: 0}, "strategy domain mismatch (missing [], extra [7])"),
+        ({1: 1, 2: 2}, "choice 1 -> 1 is not an edge"),
+        ({1: 0, 2: 0}, "choice 2 -> 0 is not an edge"),
+    ])
+    def test_bad_choice_rejected(self, choice, message):
+        strategy = PositionalStrategy(MIN, choice)
+        with pytest.raises(InvalidStrategy, match=re.escape(message)):
+            validate_strategy(self.GAME, strategy)
+        for call in self.entry_points(strategy):
+            with pytest.raises(InvalidStrategy) as err:
+                call()
+            assert str(err.value) == message
