@@ -2,14 +2,12 @@
 
 Exit codes: 0 ok, 1 broken internal invariant, 2 input error, 3 budget or
 time limit exceeded.  A config file of ``key = value`` lines can preset any
-flag of the chosen subcommand via ``--config``; the environment variable
-``MPG_BUDGET`` presets the verify state budget only.
+flag of the chosen subcommand via ``--config``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import statistics
 import sys
@@ -111,6 +109,10 @@ def _shrink(graph: GameGraph, bound: int, budget: int) -> GameGraph:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise InvalidSpec(f"--n-max must be >= 1, got {args.n_max}")
+    if args.bound_max < 0:
+        raise InvalidSpec(f"--bound-max must be >= 0, got {args.bound_max}")
     rng = random.Random(args.seed)
     budget = args.budget
     for trial in range(args.trials):
@@ -273,7 +275,7 @@ def build_parser():
     p.add_argument("--bound-max", type=int, default=10)
     p.add_argument("--w-max", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=int(os.environ.get("MPG_BUDGET", 10**6)))
+    p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=cmd_verify)
     subparsers["verify"] = p
 
@@ -319,7 +321,7 @@ def main(argv=None) -> int:
                                   if k in {a.dest for a in p._actions}})
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, ValidationError, InvalidSpec, OverflowRisk, OSError, ValueError) as exc:
+    except (ParseError, ValidationError, InvalidSpec, OverflowRisk, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, TimeLimitExceeded) as exc:

@@ -10,7 +10,11 @@ Value-vector conventions used throughout the package:
 * potential vectors live in ``int | float('-inf')`` per vertex,
 * energy vectors live in ``int | float('inf')`` per vertex.
 
-Graphs are immutable after construction and safe to share between solver
+Every way of building a game (the constructor, and through it parsing,
+generation, :func:`induced_subgame` and :func:`restrict_to_strategy`)
+yields one that passes :func:`validate`, the one place that decides whether
+a game is well formed; the solvers take that for granted.  Graphs must not
+be written to after construction and are safe to share between solver
 runs; strategies and vectors are independent values.
 """
 
@@ -25,6 +29,7 @@ from .errors import (
     AdjacencyMismatch,
     DanglingEdge,
     EmptyKeepSet,
+    InvalidSpec,
     InvalidStrategy,
     ValidationError,
     ZeroOutDegree,
@@ -50,42 +55,36 @@ class Owner(Enum):
 
 
 class GameGraph:
-    """Finite weighted digraph with per-vertex ownership.
+    """Finite weighted digraph with per-vertex ownership, valid by construction.
 
-    Parallel edges and self-loops are permitted.  The constructor is lenient
-    (so malformed graphs can be built and then diagnosed); call
-    :func:`validate` to enforce the structural invariants.
+    Parallel edges and self-loops are permitted.  The constructor converts
+    nothing: it stores the count, the owners and the edges as given, builds
+    the adjacency lists and runs :func:`validate`, so every graph that
+    exists passes it and no solver checks a graph again.  The adjacency
+    lists stay plain lists for speed, and nothing may write to a graph
+    after construction: a write would bypass the only check.
     """
 
     __slots__ = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency")
 
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
-        self.vertex_count = int(vertex_count)
+        self.vertex_count = n = vertex_count
         self.owners = tuple(owners)
-        self.edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
-        self._link()
-
-    @classmethod
-    def from_columns(cls, vertex_count: int, owners: Sequence[Owner], tails: Iterable[int],
-                     heads: Iterable[int], weights: Iterable[int]) -> GameGraph:
-        """The graph with edges ``zip(tails, heads, weights)``.  Unlike the
-        constructor it converts nothing, so the count and columns must be ints."""
-        graph = cls.__new__(cls)
-        graph.vertex_count, graph.owners = vertex_count, tuple(owners)
-        graph.edges = tuple(zip(tails, heads, weights))
-        graph._link()
-        return graph
-
-    def _link(self) -> None:
-        n = self.vertex_count
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            if 0 <= u < n and 0 <= v < n:
-                out[u].append((v, w))
-                inc[v].append((u, w))
+        self.edges = tuple(map(tuple, edges))
+        out: list[list[tuple[int, int]]] = []
+        inc: list[list[tuple[int, int]]] = []
+        try:
+            out = [[] for _ in range(n)]
+            inc = [[] for _ in range(n)]
+            for u, v, w in self.edges:
+                if 0 <= u < n and 0 <= v < n:
+                    out[u].append((v, w))
+                    inc[v].append((u, w))
+        except (TypeError, ValueError):
+            pass  # a field of the wrong type or shape, which validate names
         self.out_adjacency = out
         self.in_adjacency = inc
+        validate(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GameGraph):
@@ -142,10 +141,13 @@ class SolveResult:
 def validate(graph: GameGraph) -> None:
     """Check the structural invariants, raising on the first violation.
 
-    Raises ZeroOutDegree, DanglingEdge or AdjacencyMismatch (all subclasses
-    of ValidationError).
+    The vertex count and every edge field must be ints, not merely
+    convertible to one.  Raises ZeroOutDegree, DanglingEdge,
+    AdjacencyMismatch or ValidationError itself (their base class).
     """
     n = graph.vertex_count
+    if type(n) is not int:
+        raise ValidationError(f"vertex count {n!r} is not an int")
     if n <= 0:
         raise ValidationError("a game needs at least one vertex")
     if len(graph.owners) != n:
@@ -154,6 +156,8 @@ def validate(graph: GameGraph) -> None:
         if not isinstance(o, Owner):
             raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
     for e in graph.edges:
+        if len(e) != 3 or not type(e[0]) is type(e[1]) is type(e[2]) is int:
+            raise ValidationError(f"edge {e!r} is not a triple of ints")
         u, v, _ = e
         if not (0 <= u < n and 0 <= v < n):
             raise DanglingEdge(e)
@@ -163,6 +167,13 @@ def validate(graph: GameGraph) -> None:
     in_count = sum(map(len, graph.in_adjacency))
     if not (out_count == in_count == len(graph.edges)):
         raise AdjacencyMismatch()
+
+
+def check_bound(value, name: str = "bound") -> int:
+    """``value`` once checked to be a non-negative int; raises InvalidSpec."""
+    if type(value) is not int or value < 0:
+        raise InvalidSpec(f"{name} must be a non-negative int, got {value!r}")
+    return value
 
 
 def validate_strategy(graph: GameGraph, strategy: PositionalStrategy) -> None:

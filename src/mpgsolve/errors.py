@@ -86,4 +86,5 @@ class ParseError(GameError):
 
 
 class InvalidSpec(GameError):
-    """A generator spec has out-of-range or inconsistent parameters."""
+    """An input parameter (a bound, a generator spec field, a flag) is out of
+    range or inconsistent."""

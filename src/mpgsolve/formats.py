@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight, validate
+from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight
 from .core import INF, WEIGHT_ENVELOPE, MinWitness, SolveResult
 from .errors import InvariantViolation, OverflowRisk, ParseError
 
@@ -51,8 +51,7 @@ def parse_game(text: str) -> GameGraph:
     if parts is None:
         _raise_line_error(text)
     n, owners, tails, heads, weights = parts
-    graph = GameGraph.from_columns(n, owners, tails, heads, weights)
-    validate(graph)
+    graph = GameGraph(n, owners, zip(tails, heads, weights))
     if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
         raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
     return graph

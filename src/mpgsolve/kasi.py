@@ -73,10 +73,11 @@ from .core import (
     Owner,
     PositionalStrategy,
     SolveResult,
+    check_bound,
     max_abs_weight,
-    validate,
 )
 from .errors import (
+    InvalidSpec,
     InvalidStrategy,
     InvariantViolation,
     OverflowRisk,
@@ -550,11 +551,7 @@ def solve_lwub(
     potential transformation; the correctness test-suite always runs with it,
     benchmarks never do.
     """
-    validate(game)
-    bound = int(bound)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    return _solve(game, bound, max_abs_weight(game), check, initial_strategy, time_limit)
+    return _solve(game, check_bound(bound), max_abs_weight(game), check, initial_strategy, time_limit)
 
 
 def solve_lb(
@@ -564,7 +561,6 @@ def solve_lb(
     time_limit: float | None = None,
 ) -> SolveResult:
     """Solve the unbounded problem via the reduction bound ``(|V|-1) * W``."""
-    validate(game)
     n = game.vertex_count
     w_max = max_abs_weight(game)
     if (n - 1) * w_max * n >= WEIGHT_ENVELOPE:
@@ -605,7 +601,7 @@ def dijkstra_longest(
     targets = set(targets)
     for v in targets:
         if potentials[v] != 0:
-            raise ValueError(f"target {v} has potential {potentials[v]}, expected 0")
+            raise InvalidSpec(f"target {v} has potential {potentials[v]}, expected 0")
     g = _Prepared(graph)
     pi = [None] * g.n
     for v, succ in enumerate(g.succ):
@@ -617,7 +613,7 @@ def dijkstra_longest(
             )
         if succ:
             pi[v] = next(iter(succ))
-    d, _ = _dijkstra(g, pi, int(bound), targets, list(potentials), check)
+    d, _ = _dijkstra(g, pi, check_bound(bound), targets, list(potentials), check)
     return d
 
 
@@ -636,7 +632,7 @@ def evaluate_strategy(
     d_prev = list(d_prev)
     if check:
         _check_entry(g, pi, d_prev)
-    d, _, _, _, passes, _ = _evaluate(g, pi, int(bound), d_prev, check)
+    d, _, _, _, passes, _ = _evaluate(g, pi, check_bound(bound), d_prev, check)
     if passes > max(1, g.n):
         raise InvariantViolation(f"evaluation ran {passes} passes on {g.n} vertices")
     return d
@@ -704,13 +700,11 @@ def verify_min_witness(
     Returns one violating play; raises WitnessIncomplete when some Max
     behavior survives, which signals an implementation bug.
     """
-    validate(game)
-    bound = int(bound)
+    bound = check_bound(bound)
+    check_bound(credit, "credit")
     death = witness.death_index
     if death[vertex] is None:
-        raise ValueError(f"vertex {vertex} is not losing; nothing to verify")
-    if credit < 0:
-        raise ValueError("credit must be non-negative")
+        raise InvalidSpec(f"vertex {vertex} is not losing; nothing to verify")
     last = len(witness.strategies) - 1
     choice = [s.choice for s in witness.strategies]
     # Min traverses the lightest parallel edge to her chosen target.

@@ -17,7 +17,7 @@ These are exactly the two losing conditions of the bounded problem.
 
 from __future__ import annotations
 
-from .core import INF, GameGraph, Owner, max_abs_weight, validate
+from .core import INF, GameGraph, Owner, check_bound, max_abs_weight
 from .errors import BudgetExceeded
 
 
@@ -30,10 +30,7 @@ DEFAULT_PAIR_BUDGET = 10**5
 
 def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDGET) -> list:
     """Bounded energy requirement via the safety-game greatest fixpoint."""
-    validate(game)
-    bound = int(bound)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    bound = check_bound(bound)
     n = game.vertex_count
     width = bound + 1
     needed = n * width
@@ -114,7 +111,6 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
 
 def oracle_lb(game: GameGraph, *, budget: int = DEFAULT_STATE_BUDGET) -> list:
     """Unbounded energy requirement via the reduction bound (|V|-1) * W."""
-    validate(game)
     bound = (game.vertex_count - 1) * max_abs_weight(game)
     return oracle_lwub(game, bound, budget=budget)
 
@@ -164,7 +160,6 @@ def oracle_value_sign(
     every Min positional strategy, a non-negative cycle in the doubly
     restricted functional graph.
     """
-    validate(game)
     n = game.vertex_count
     max_vs, max_opts = _positional_choices(game, Owner.MAX)
     min_vs, min_opts = _positional_choices(game, Owner.MIN)

@@ -10,9 +10,10 @@ vectors agree.  After k rounds ``d_k(v)`` is the minimum initial energy
 surviving a k-step play, so the fixpoint is the bounded energy requirement,
 and at the reduction bound ``(|V|-1) * W`` it solves the unbounded problem.
 
-Two variants: a synchronous round (``vi_step``/``variant="plain"``) and an
-asynchronous worklist that recomputes a vertex only when a successor grew.
-Both reach the same fixpoint; the worklist is the fast one.
+:func:`vi_solve` runs the iteration asynchronously, with a worklist that
+recomputes a vertex only when a successor grew.  :func:`vi_step` is one
+synchronous round, the textbook iteration, kept as the reference that the
+k-step semantics are tested on; both reach the same fixpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import INF, GameGraph, Owner, validate
+from .core import INF, GameGraph, Owner, check_bound
 from .errors import TimeLimitExceeded
 
 
@@ -83,37 +84,12 @@ def vi_solve(
     game: GameGraph,
     bound: int,
     *,
-    variant: str = "worklist",
     time_limit: float | None = None,
     stats: dict | None = None,
 ) -> list:
-    """Iterate to the fixpoint; returns the bounded energy requirement."""
-    validate(game)
-    bound = int(bound)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if variant == "plain":
-        return _solve_plain(game, bound, time_limit, stats)
-    if variant == "worklist":
-        return _solve_worklist(game, bound, time_limit, stats)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _solve_plain(game, bound, time_limit, stats):
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    state = ViState.initial(game)
-    rounds = 0
-    while state.dirty:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeLimitExceeded(f"value iteration exceeded {time_limit} s")
-        state = vi_step(game, bound, state)
-        rounds += 1
-    if stats is not None:
-        stats["iterations"] = rounds
-    return state.d
-
-
-def _solve_worklist(game, bound, time_limit, stats):
+    """Iterate to the fixpoint with a worklist; returns the bounded energy
+    requirement.  ``stats["iterations"]`` receives the worklist pops."""
+    bound = check_bound(bound)
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     n = game.vertex_count
     out = game.out_adjacency

@@ -48,10 +48,21 @@ class TestSolve:
 
     def test_unreadable_input_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path)]) == 2
+        path = tmp_path / "binary.mpg"
+        path.write_bytes(b"p mpg 1 1\xff\n")
+        assert main(["solve", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
 
     def test_missing_bound_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         assert main(["solve", "--problem", "lwub", str(path)]) == 2
+
+    def test_negative_bound_exits_2(self, tmp_path, capsys):
+        path = write_memory_game(tmp_path)
+        for algorithm in ("kasi", "vi"):
+            code = main(["solve", "--algorithm", algorithm, "--problem", "lwub", "--bound", "-1", str(path)])
+            assert code == 2
+            assert "bound must be a non-negative int, got -1" in capsys.readouterr().err
 
     def test_kasi_and_vi_agree_on_files(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
@@ -89,6 +100,7 @@ class TestGen:
 
     def test_bad_spec_exits_2(self, capsys):
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "0.1"]) == 2
+        assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "nan"]) == 2
 
 
 class TestVerify:
@@ -97,6 +109,12 @@ class TestVerify:
                      "--bound-max", "6", "--seed", "1"])
         assert code == 0
         assert "40/40 agree" in capsys.readouterr().out
+
+    def test_empty_ranges_exit_2(self, capsys):
+        assert main(["verify", "--n-max", "0"]) == 2
+        assert "--n-max must be >= 1, got 0" in capsys.readouterr().err
+        assert main(["verify", "--bound-max", "-1"]) == 2
+        assert "--bound-max must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestBench:
@@ -132,3 +150,12 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobnicate = 1\n")
         assert main(["--config", str(cfg), "verify"]) == 2
+
+    def test_float_bound_exits_2(self, tmp_path, capsys):
+        # a config value is not converted to the flag's type; the bound check
+        # rejects it rather than running at bound 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bound = 2.9\n")
+        path = write_memory_game(tmp_path)
+        assert main(["--config", str(cfg), "solve", "--problem", "lwub", str(path)]) == 2
+        assert "bound must be a non-negative int, got 2.9" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import pytest
 
 from mpgsolve import (
+    MEMORY_GAME_BOUND,
     DanglingEdge,
     EmptyKeepSet,
     GameGraph,
@@ -8,14 +9,20 @@ from mpgsolve import (
     Owner,
     PositionalStrategy,
     SUBGAME_SELF_LOOP_WEIGHT,
+    ValidationError,
     ZeroOutDegree,
+    core,
     cycle_weight,
     induced_subgame,
     max_abs_weight,
+    memory_game,
     oracle_lwub,
     path_weight,
     restrict_to_strategy,
+    solve_lb,
+    solve_lwub,
     validate,
+    vi_solve,
 )
 from conftest import random_game
 
@@ -32,24 +39,57 @@ def chain_abc():
 
 
 class TestValidate:
+    """A game is checked once, when it is built."""
+
     def test_minimal_legal_game(self):
         validate(GameGraph(1, [Owner.MAX], [(0, 0, 0)]))
 
     def test_single_vertex_without_edges(self):
         with pytest.raises(ZeroOutDegree) as err:
-            validate(GameGraph(1, [Owner.MAX], []))
+            GameGraph(1, [Owner.MAX], [])
         assert err.value.vertex == 0
 
     def test_sink_vertex(self):
-        g = GameGraph(2, [Owner.MAX, Owner.MIN], [(0, 1, 5)])
         with pytest.raises(ZeroOutDegree) as err:
-            validate(g)
+            GameGraph(2, [Owner.MAX, Owner.MIN], [(0, 1, 5)])
         assert err.value.vertex == 1
 
     def test_dangling_edge(self):
-        g = GameGraph(2, [Owner.MAX, Owner.MIN], [(0, 1, 1), (1, 5, 0)])
         with pytest.raises(DanglingEdge):
-            validate(g)
+            GameGraph(2, [Owner.MAX, Owner.MIN], [(0, 1, 1), (1, 5, 0)])
+
+    def test_float_weights_are_not_truncated(self):
+        # truncated to 2 and -2 this cycle would weigh 0, not -0.2
+        with pytest.raises(ValidationError, match="not a triple of ints"):
+            GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, 2.7), (1, 0, -2.9)])
+
+    def test_string_fields_are_not_converted(self):
+        with pytest.raises(ValidationError, match="not a triple of ints"):
+            GameGraph(2, [Owner.MAX, Owner.MAX], [("0", "1", "3"), (1, 0, 0)])
+        with pytest.raises(ValidationError, match="vertex count '2' is not an int"):
+            GameGraph("2", [Owner.MAX, Owner.MAX], [(0, 1, 3), (1, 0, 0)])
+
+    def test_edge_that_is_not_a_triple(self):
+        for edge in [(0, 1), (0, 1, 1, 1)]:
+            with pytest.raises(ValidationError, match="not a triple of ints"):
+                GameGraph(2, [Owner.MAX, Owner.MAX], [edge, (1, 0, 0)])
+
+    def test_construction_validates_once_and_solvers_never(self, monkeypatch):
+        calls = 0
+
+        def counting_validate(game):
+            nonlocal calls
+            calls += 1
+            validate(game)
+
+        monkeypatch.setattr(core, "validate", counting_validate)
+        g = memory_game()
+        assert calls == 1
+        solve_lb(g)
+        solve_lwub(g, MEMORY_GAME_BOUND)
+        vi_solve(g, MEMORY_GAME_BOUND)
+        oracle_lwub(g, MEMORY_GAME_BOUND)
+        assert calls == 1
 
 
 class TestRestrict:
@@ -112,15 +152,13 @@ class TestInducedSubgame:
             assert induced_subgame(g, range(g.vertex_count)) == g
 
     def test_chain_prefix_gets_self_loop(self):
-        # pure chain a -> b -> c; cutting c leaves b with no successor
-        g = GameGraph(3, [Owner.MAX] * 3, [(0, 1, 2), (1, 2, -3)])
-        sub = induced_subgame(g, [0, 1])
+        # chain a -> b -> c -> c; cutting c leaves b with no successor
+        sub = induced_subgame(chain_abc(), [0, 1])
         assert sub.vertex_count == 2
         assert sorted(sub.edges) == [(0, 1, 2), (1, 1, SUBGAME_SELF_LOOP_WEIGHT)]
 
     def test_singleton_is_losing_at_any_bound(self):
-        g = GameGraph(3, [Owner.MAX] * 3, [(0, 1, 2), (1, 2, -3)])
-        sub = induced_subgame(g, [2])
+        sub = induced_subgame(chain_abc(), [1])
         assert sub.edges == ((0, 0, SUBGAME_SELF_LOOP_WEIGHT),)
         for b in (0, 3, 12):
             assert oracle_lwub(sub, b) == [INF]

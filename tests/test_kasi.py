@@ -27,7 +27,7 @@ from mpgsolve import (
     verify_min_witness,
     winning_sign,
 )
-from mpgsolve import MEMORY_GAME_BOUND, GenSpec, formats, generate, kasi, validate
+from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, formats, generate, kasi, vi_solve
 from mpgsolve.core import validate_strategy
 from conftest import random_game
 
@@ -69,7 +69,7 @@ class TestDijkstraLongest:
 
     def test_target_needs_zero_potential(self):
         g = one_vertex_game(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             dijkstra_longest(g, 5, {0}, [-1])
 
 
@@ -169,8 +169,19 @@ class TestSolveLwub:
         assert solve_lwub(g, 3, check=True).lwub == [0, 3]
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="bound must be a non-negative int, got -1"):
             solve_lwub(one_vertex_game(0), -1)
+
+    def test_float_bound_rejected(self):
+        # an error, not a solve at bound 2
+        g = one_vertex_game(-1)
+        for solve in (solve_lwub, vi_solve, oracle_lwub):
+            with pytest.raises(InvalidSpec, match="got 2.9"):
+                solve(g, 2.9)
+        with pytest.raises(InvalidSpec, match="got 2.9"):
+            evaluate_strategy(g, 2.9, zero_strategy(g), [0])
+        with pytest.raises(InvalidSpec, match="got 2.9"):
+            dijkstra_longest(g, 2.9, {0}, [0])
 
     def test_differential_at_invariant_scale(self):
         # exhaustive random sampling over |V| <= 8, W <= 4, b <= 12
@@ -198,20 +209,6 @@ class TestSolveLb:
         g = GameGraph(2, [MAX, MIN], [(0, 1, 3), (1, 0, 0)])
         assert winning_sign(g) == ((0, 1), ())
         assert winning_sign(one_vertex_game(-1)) == ((), (0,))
-
-    def test_each_solve_validates_once(self, monkeypatch):
-        calls = 0
-
-        def counting_validate(game):
-            nonlocal calls
-            calls += 1
-            validate(game)
-
-        monkeypatch.setattr(kasi, "validate", counting_validate)
-        solve_lb(memory_game())
-        assert calls == 1
-        solve_lwub(memory_game(), MEMORY_GAME_BOUND)
-        assert calls == 2
 
 
 class TestMaxStrategy:
@@ -269,7 +266,7 @@ class TestMinWitness:
     def test_verify_rejects_winnable_vertex(self):
         g = one_vertex_game(0)
         res = solve_lwub(g, 3, check=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             verify_min_witness(g, 3, res.min_witness, 0, 3)
 
     def test_broken_witness_is_reported(self):

@@ -51,3 +51,15 @@ def test_imports_point_down():
     for name, allowed in ALLOWED.items():
         imported = _package_imports(PACKAGE / f"{name}.py")
         assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
+
+
+def test_only_core_calls_validate():
+    # a game is checked once, when core builds it; nothing checks it again
+    for path in PACKAGE.glob("*.py"):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "validate" or getattr(node.func, "attr", None) == "validate")
+        ]
+        assert path.stem == "core" or not calls, f"{path.stem} calls validate on lines {calls}"
