@@ -11,12 +11,9 @@ from .core import (
     MinWitness,
     Owner,
     PositionalStrategy,
-    SUBGAME_SELF_LOOP_WEIGHT,
     SolveResult,
-    cycle_weight,
     induced_subgame,
     max_abs_weight,
-    path_weight,
     restrict_to_strategy,
     validate,
 )
@@ -40,20 +37,15 @@ from .errors import (
 )
 from .formats import (
     parse_game,
-    parse_strategy,
-    parse_values,
     render_bench_row,
     render_game,
-    render_result,
     render_strategy,
     render_values,
     render_witness,
 )
 from .generators import GenSpec, generate
-from .instances import MEMORY_GAME_BOUND, find_balancing_shift, memory_game, one_vertex_game, two_vertex_duel
+from .instances import MEMORY_GAME_BOUND, find_balancing_shift, memory_game, two_vertex_duel
 from .kasi import (
-    ViolationTrace,
-    dijkstra_longest,
     evaluate_strategy,
     improve_strategy,
     solve_lb,
@@ -61,8 +53,8 @@ from .kasi import (
     verify_min_witness,
     winning_sign,
 )
-from .oracle import oracle_lb, oracle_lwub, oracle_value_sign
-from .value_iteration import ViState, vi_solve, vi_step
+from .oracle import oracle_lb, oracle_lwub
+from .value_iteration import vi_solve
 
 __version__ = "0.1.0"
 
@@ -70,42 +62,30 @@ __all__ = [
     "GameGraph",
     "Owner",
     "PositionalStrategy",
-    "SUBGAME_SELF_LOOP_WEIGHT",
     "GenSpec",
     "MinWitness",
     "SolveResult",
-    "ViolationTrace",
-    "ViState",
     "MEMORY_GAME_BOUND",
     "validate",
     "restrict_to_strategy",
     "induced_subgame",
     "max_abs_weight",
-    "path_weight",
-    "cycle_weight",
     "solve_lwub",
     "solve_lb",
     "winning_sign",
     "evaluate_strategy",
     "improve_strategy",
-    "dijkstra_longest",
     "verify_min_witness",
     "vi_solve",
-    "vi_step",
     "oracle_lwub",
     "oracle_lb",
-    "oracle_value_sign",
     "generate",
     "find_balancing_shift",
     "memory_game",
-    "one_vertex_game",
     "two_vertex_duel",
     "parse_game",
     "render_game",
-    "parse_values",
     "render_values",
-    "render_result",
-    "parse_strategy",
     "render_strategy",
     "render_witness",
     "render_bench_row",

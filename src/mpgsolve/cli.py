@@ -1,8 +1,7 @@
 """Command-line frontend: solve, gen, verify and bench subcommands.
 
 Exit codes: 0 ok, 1 broken internal invariant, 2 input error, 3 budget or
-time limit exceeded.  A config file of ``key = value`` lines can preset any
-flag of the chosen subcommand via ``--config``.
+time limit exceeded.
 """
 
 from __future__ import annotations
@@ -200,34 +199,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> dict:
-    mapping = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidSpec(f"config line {lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        try:
-            mapping[key] = int(value)
-        except ValueError:
-            try:
-                mapping[key] = float(value)
-            except ValueError:
-                mapping[key] = value
-    return mapping
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mpg",
         description="Solvers, generators and benchmarks for energy problems on mean-payoff games.",
     )
-    parser.add_argument("--config", help="key=value file presetting flags of the subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("input", help="game file, or - for standard input")
@@ -240,7 +217,6 @@ def build_parser():
     p.add_argument("--check", action="store_true", help="enable debug invariant checking")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)
-    subparsers["solve"] = p
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--family", required=True,
@@ -267,7 +243,6 @@ def build_parser():
     p.add_argument("--margin", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
-    subparsers["gen"] = p
 
     p = sub.add_parser("verify", help="differential-test the solvers against the oracle")
     p.add_argument("--n-max", type=int, default=7)
@@ -277,7 +252,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=cmd_verify)
-    subparsers["verify"] = p
 
     p = sub.add_parser("bench", help="time algorithms over instance files (parse time excluded)")
     p.add_argument("instances", nargs="+", help="game files")
@@ -290,36 +264,13 @@ def build_parser():
                    help="per-run limit; timed-out cells report iterations=-1")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bench)
-    subparsers["bench"] = p
 
-    return parser, subparsers
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
-    # apply --config before the real parse so flags still win over the file
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
+    args = build_parser().parse_args(argv)
     try:
-        if config_path is not None:
-            mapping = _load_config(config_path)
-            known = {
-                action.dest
-                for p in subparsers.values()
-                for action in p._actions
-            }
-            unknown = set(mapping) - known
-            if unknown:
-                raise InvalidSpec(f"config keys not recognized: {sorted(unknown)}")
-            for p in subparsers.values():
-                p.set_defaults(**{k: v for k, v in mapping.items()
-                                  if k in {a.dest for a in p._actions}})
-        args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError, InvalidSpec, OverflowRisk, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

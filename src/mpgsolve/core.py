@@ -96,9 +96,6 @@ class GameGraph:
             and sorted(self.edges) == sorted(other.edges)
         )
 
-    def __hash__(self):  # pragma: no cover - graphs are not meant to be dict keys
-        return hash((self.vertex_count, self.owners, tuple(sorted(self.edges))))
-
     def __repr__(self) -> str:
         return f"GameGraph(|V|={self.vertex_count}, |E|={len(self.edges)})"
 
@@ -179,13 +176,16 @@ def check_bound(value, name: str = "bound") -> int:
 def validate_strategy(graph: GameGraph, strategy: PositionalStrategy) -> None:
     """Check that a strategy is defined on all and only its player's vertices
     and always picks an actual successor."""
-    owned = set(graph.vertices_of(strategy.player))
-    if set(strategy.choice) != owned:
-        missing = owned - set(strategy.choice)
-        extra = set(strategy.choice) - owned
-        raise InvalidStrategy(f"strategy domain mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    for v, u in strategy.choice.items():
-        if all(t != u for t, _ in graph.out_adjacency[v]):
+    player, choice, out = strategy.player, strategy.choice, graph.out_adjacency
+    owned = set(graph.vertices_of(player))
+    if choice.keys() != owned:
+        missing, extra = sorted(owned - choice.keys()), sorted(choice.keys() - owned)
+        raise InvalidStrategy(f"strategy domain mismatch (missing {missing}, extra {extra})")
+    for v, u in choice.items():
+        for t, _ in out[v]:
+            if t == u:
+                break
+        else:
             raise InvalidStrategy(f"choice {v} -> {u} is not an edge")
 
 
@@ -235,27 +235,3 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
 def max_abs_weight(graph: GameGraph) -> int:
     """Maximum absolute edge weight W; 0 when every weight is zero."""
     return max(map(abs, map(itemgetter(2), graph.edges)), default=0)
-
-
-def _step_weight(graph: GameGraph, u: int, v: int) -> int:
-    # With parallel edges the heaviest one is the relevant one for longest
-    # paths, and it is what a rational Max would traverse.
-    best = None
-    for t, w in graph.out_adjacency[u]:
-        if t == v and (best is None or w > best):
-            best = w
-    if best is None:
-        raise ValidationError(f"({u}, {v}) is not an edge")
-    return best
-
-
-def path_weight(graph: GameGraph, path: Sequence[int]) -> int:
-    """Weight of a path given as a vertex sequence."""
-    return sum(_step_weight(graph, path[i], path[i + 1]) for i in range(len(path) - 1))
-
-
-def cycle_weight(graph: GameGraph, cycle: Sequence[int]) -> int:
-    """Weight of a cycle given as a vertex sequence without the closing vertex."""
-    if not cycle:
-        raise ValidationError("empty cycle")
-    return path_weight(graph, list(cycle) + [cycle[0]])

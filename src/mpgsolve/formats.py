@@ -1,4 +1,5 @@
-"""Text formats for games, results, strategies, witnesses and bench CSV.
+"""Text formats: games are parsed and rendered; results, strategies,
+witnesses and bench CSV are only rendered (FORMAT.md documents them all).
 
 Game grammar (see FORMAT.md for the ABNF):
 
@@ -17,7 +18,7 @@ import re
 from typing import Sequence
 
 from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight
-from .core import INF, WEIGHT_ENVELOPE, MinWitness, SolveResult
+from .core import INF, WEIGHT_ENVELOPE, MinWitness
 from .errors import InvariantViolation, OverflowRisk, ParseError
 
 INF_TOKEN = "inf"
@@ -174,46 +175,8 @@ def render_values(values: Sequence) -> str:
     return "".join(f"v {v} {_value_token(x)}\n" for v, x in enumerate(values))
 
 
-def parse_values(text: str) -> list:
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "v" or len(fields) != 3:
-            raise ParseError(lineno, "result line must be 'v <id> <value|inf>'")
-        v = _int(fields[1], lineno)
-        entries[v] = INF if fields[2] == INF_TOKEN else _int(fields[2], lineno)
-    if set(entries) != set(range(len(entries))):
-        raise ParseError(0, "result lines must cover a dense vertex range")
-    return [entries[v] for v in range(len(entries))]
-
-
-def render_result(result) -> str:
-    """Value lines for an energy vector or a solve result."""
-    values = result.lwub if isinstance(result, SolveResult) else result
-    return render_values(values)
-
-
 def render_strategy(strategy: PositionalStrategy) -> str:
     return "".join(f"s {v} {u}\n" for v, u in sorted(strategy.choice.items()))
-
-
-def parse_strategy(text: str, player: Owner) -> PositionalStrategy:
-    choice = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] != "s" or len(fields) != 3:
-            raise ParseError(lineno, "strategy line must be 's <id> <target>'")
-        v = _int(fields[1], lineno)
-        if v in choice:
-            raise ParseError(lineno, f"duplicate choice for vertex {v}")
-        choice[v] = _int(fields[2], lineno)
-    return PositionalStrategy(player, choice)
 
 
 def render_witness(witness: MinWitness) -> str:

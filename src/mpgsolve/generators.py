@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import GameGraph, Owner
+from .core import INF, GameGraph, Owner
 from .errors import InvalidSpec
 
 _PHASE_STRUCTURE = 1
@@ -89,8 +89,8 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
     n = spec.n
     if n < 1:
         raise InvalidSpec("sprand needs n >= 1")
-    if not spec.edge_factor >= 1:  # NaN included
-        raise InvalidSpec("sprand needs edge_factor * n >= n")
+    if not 1 <= spec.edge_factor < INF:  # NaN included
+        raise InvalidSpec("sprand needs a finite edge_factor >= 1")
     m = int(spec.edge_factor * n)
     structure = _rng(spec, _PHASE_STRUCTURE)
     weights = _rng(spec, _PHASE_WEIGHTS)

@@ -62,7 +62,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     INF,
@@ -75,6 +75,7 @@ from .core import (
     SolveResult,
     check_bound,
     max_abs_weight,
+    validate_strategy,
 )
 from .errors import (
     InvalidSpec,
@@ -456,21 +457,15 @@ def _snapshot(pi):
     return PositionalStrategy(Owner.MIN, {v: u for v, u in enumerate(pi) if u is not None})
 
 
-def _initial_pi(g, strategy):
+def _initial_pi(game, strategy):
     """Min's choice per vertex, None at Max's, from ``strategy`` once checked
-    to choose an edge at every Min vertex and nowhere else."""
+    by :func:`validate_strategy` to choose an edge at every Min vertex and
+    nowhere else."""
     if strategy.player is not Owner.MIN:
         raise InvalidStrategy("expected a Min strategy")
-    choice = strategy.choice.keys()
-    owned = {v for v, succ in enumerate(g.succ) if succ is not None}
-    if choice != owned:
-        raise InvalidStrategy(
-            f"strategy domain mismatch (missing {sorted(owned - choice)}, extra {sorted(choice - owned)})"
-        )
-    pi = [None] * g.n
+    validate_strategy(game, strategy)
+    pi = [None] * game.vertex_count
     for v, u in strategy.choice.items():
-        if u not in g.succ[v]:
-            raise InvalidStrategy(f"choice {v} -> {u} is not an edge")
         pi[v] = u
     return pi
 
@@ -482,7 +477,7 @@ def _solve(game, bound, w_max, check, initial_strategy, time_limit):
     if initial_strategy is None:  # the lowest-indexed successor
         pi = [None if succ is None else min(succ) for succ in g.succ]
     else:
-        pi = _initial_pi(g, initial_strategy)
+        pi = _initial_pi(game, initial_strategy)
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
@@ -582,41 +577,6 @@ def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ..
     return nonneg, neg
 
 
-def dijkstra_longest(
-    graph: GameGraph,
-    bound: int,
-    targets: Iterable[int],
-    potentials: Sequence,
-    *,
-    check: bool = False,
-) -> list:
-    """Longest suffix-admissible path weights from every vertex to ``targets``.
-
-    The graph must already be one-player in the relevant region: a Min
-    vertex may keep parallel edges (its lightest one is traversed) but only
-    one distinct successor, as in a strategy restriction.  Requires targets
-    to carry potential 0 and - for meaningful results - every relevant edge
-    to be non-positive under the potential transformation.
-    """
-    targets = set(targets)
-    for v in targets:
-        if potentials[v] != 0:
-            raise InvalidSpec(f"target {v} has potential {potentials[v]}, expected 0")
-    g = _Prepared(graph)
-    pi = [None] * g.n
-    for v, succ in enumerate(g.succ):
-        if succ is None:
-            continue
-        if len(succ) > 1:
-            raise InvalidStrategy(
-                f"Min vertex {v} keeps {len(succ)} successors; pass a strategy restriction"
-            )
-        if succ:
-            pi[v] = next(iter(succ))
-    d, _ = _dijkstra(g, pi, check_bound(bound), targets, list(potentials), check)
-    return d
-
-
 def evaluate_strategy(
     game: GameGraph,
     bound: int,
@@ -628,7 +588,7 @@ def evaluate_strategy(
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices."""
     g = _Prepared(game)
-    pi = _initial_pi(g, strategy)
+    pi = _initial_pi(game, strategy)
     d_prev = list(d_prev)
     if check:
         _check_entry(g, pi, d_prev)
@@ -645,7 +605,7 @@ def improve_strategy(
 ) -> tuple[PositionalStrategy, bool]:
     """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min strategy."""
     g = _Prepared(game)
-    pi = _initial_pi(g, strategy)
+    pi = _initial_pi(game, strategy)
     switched = _improve(g, pi, list(d), range(g.n))
     return _snapshot(pi), bool(switched)
 

@@ -22,7 +22,6 @@ from mpgsolve import (
     MEMORY_GAME_BOUND,
     oracle_lb,
     oracle_lwub,
-    oracle_value_sign,
     restrict_to_strategy,
     solve_lb,
     solve_lwub,
@@ -32,6 +31,7 @@ from mpgsolve import (
 )
 from mpgsolve.core import max_abs_weight
 from mpgsolve.errors import TimeLimitExceeded
+from mpgsolve.oracle import oracle_value_sign
 from mpgsolve.cli import main as cli_main
 from conftest import random_game
 

@@ -101,6 +101,7 @@ class TestGen:
     def test_bad_spec_exits_2(self, capsys):
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "0.1"]) == 2
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "nan"]) == 2
+        assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "inf"]) == 2
 
 
 class TestVerify:
@@ -136,26 +137,3 @@ class TestBench:
         path = write_memory_game(tmp_path)
         assert main(["bench", str(path), "--bound", "5", "--repeat", "1"]) == 2
         assert "--bound only applies" in capsys.readouterr().err
-
-
-class TestConfig:
-    def test_config_presets_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials = 5\nn-max = 4\nbound-max = 4\nseed = 3\n")
-        code = main(["--config", str(cfg), "verify"])
-        assert code == 0
-        assert "5/5 agree" in capsys.readouterr().out
-
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate = 1\n")
-        assert main(["--config", str(cfg), "verify"]) == 2
-
-    def test_float_bound_exits_2(self, tmp_path, capsys):
-        # a config value is not converted to the flag's type; the bound check
-        # rejects it rather than running at bound 2
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bound = 2.9\n")
-        path = write_memory_game(tmp_path)
-        assert main(["--config", str(cfg), "solve", "--problem", "lwub", str(path)]) == 2
-        assert "bound must be a non-negative int, got 2.9" in capsys.readouterr().err

@@ -8,22 +8,20 @@ from mpgsolve import (
     InvalidStrategy,
     Owner,
     PositionalStrategy,
-    SUBGAME_SELF_LOOP_WEIGHT,
     ValidationError,
     ZeroOutDegree,
     core,
-    cycle_weight,
     induced_subgame,
     max_abs_weight,
     memory_game,
     oracle_lwub,
-    path_weight,
     restrict_to_strategy,
     solve_lb,
     solve_lwub,
     validate,
     vi_solve,
 )
+from mpgsolve.core import SUBGAME_SELF_LOOP_WEIGHT
 from conftest import random_game
 
 INF = float("inf")
@@ -175,20 +173,3 @@ class TestWeights:
         assert max_abs_weight(GameGraph(1, [Owner.MAX], [(0, 0, 0)])) == 0
         g = GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, -10000), (1, 0, 9999)])
         assert max_abs_weight(g) == 10000
-
-    def test_path_weight_concatenation(self, rng):
-        for _ in range(50):
-            g = random_game(rng, n_max=6)
-            # random walk of length 6 split at a random point
-            v = rng.randrange(g.vertex_count)
-            walk = [v]
-            for _ in range(6):
-                walk.append(rng.choice(g.out_adjacency[walk[-1]])[0])
-            cut = rng.randint(0, 6)
-            left, right = walk[: cut + 1], walk[cut:]
-            assert path_weight(g, walk) == path_weight(g, left) + path_weight(g, right)
-
-    def test_cycle_weight_closes_the_loop(self):
-        g = GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, 2), (1, 0, -1)])
-        assert cycle_weight(g, [0, 1]) == 1
-        assert cycle_weight(g, [1, 0]) == 1

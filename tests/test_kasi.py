@@ -14,11 +14,9 @@ from mpgsolve import (
     PreconditionViolated,
     TimeLimitExceeded,
     WitnessIncomplete,
-    dijkstra_longest,
     evaluate_strategy,
     improve_strategy,
     memory_game,
-    one_vertex_game,
     oracle_lwub,
     restrict_to_strategy,
     solve_lb,
@@ -29,6 +27,7 @@ from mpgsolve import (
 )
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, formats, generate, kasi, vi_solve
 from mpgsolve.core import validate_strategy
+from mpgsolve.instances import one_vertex_game
 from conftest import random_game
 
 INF = float("inf")
@@ -38,20 +37,28 @@ MAX = Owner.MAX
 MIN = Owner.MIN
 
 
+def longest(game, bound, targets, potentials, check=False):
+    """The solver's longest admissible path weights to ``targets`` on a game
+    without Min vertices, so that no strategy restricts it."""
+    g = kasi._Prepared(game)
+    d, _ = kasi._dijkstra(g, [None] * g.n, bound, targets, potentials, check)
+    return d
+
+
 class TestDijkstraLongest:
     def test_target_distance_is_zero(self):
         g = one_vertex_game(0)
-        assert dijkstra_longest(g, 5, {0}, [0]) == [0]
+        assert longest(g, 5, {0}, [0]) == [0]
 
     def test_suffix_condition_kills_path(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -4), (1, 1, 0)])
-        assert dijkstra_longest(g, 3, {1}, [0, 0]) == [NEG, 0]
+        assert longest(g, 3, {1}, [0, 0]) == [NEG, 0]
 
     def test_admissible_path_survives(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -4), (1, 1, 0)])
         # energy-state oracle gives 4 in the one-player game
         assert oracle_lwub(g, 4) == [4, 0]
-        assert dijkstra_longest(g, 4, {1}, [0, 0]) == [-4, 0]
+        assert longest(g, 4, {1}, [0, 0]) == [-4, 0]
 
     def test_diamond_takes_least_negative_path(self):
         # u=0, v1=1, v2=2, t=3: both branches enumerated by hand
@@ -60,17 +67,12 @@ class TestDijkstraLongest:
             [MAX] * 4,
             [(0, 1, -2), (0, 2, -5), (1, 3, -1), (2, 3, 0), (3, 3, 0)],
         )
-        assert dijkstra_longest(g, 10, {3}, [0] * 4) == [-3, -1, 0, 0]
+        assert longest(g, 10, {3}, [0] * 4) == [-3, -1, 0, 0]
 
     def test_positive_transformed_edge_detected(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, 1), (1, 1, 0)])
         with pytest.raises(PositiveTransformedEdge):
-            dijkstra_longest(g, 5, {1}, [0, 0], check=True)
-
-    def test_target_needs_zero_potential(self):
-        g = one_vertex_game(0)
-        with pytest.raises(InvalidSpec):
-            dijkstra_longest(g, 5, {0}, [-1])
+            longest(g, 5, {1}, [0, 0], check=True)
 
 
 def zero_strategy(g):
@@ -180,8 +182,6 @@ class TestSolveLwub:
                 solve(g, 2.9)
         with pytest.raises(InvalidSpec, match="got 2.9"):
             evaluate_strategy(g, 2.9, zero_strategy(g), [0])
-        with pytest.raises(InvalidSpec, match="got 2.9"):
-            dijkstra_longest(g, 2.9, {0}, [0])
 
     def test_differential_at_invariant_scale(self):
         # exhaustive random sampling over |V| <= 8, W <= 4, b <= 12
@@ -426,8 +426,9 @@ class TestHeapPops:
 
 
 class TestStrategyChecks:
-    """Every entry point that takes a Min strategy rejects a bad one with the
-    messages of ``core.validate_strategy``."""
+    """Every entry point that takes a Min strategy checks it by calling
+    ``core.validate_strategy``, so a bad one fails with that function's
+    message."""
 
     GAME = GameGraph(3, [MAX, MIN, MIN], [(0, 1, 0), (1, 0, -1), (1, 2, 0), (2, 2, 0)])
 

@@ -1,5 +1,6 @@
 """The package's layers point one way: core, then the solvers, generators
-and formats, then instances, the CLI and the package root."""
+and formats, then instances, the CLI and the package root; and every name
+the package exports has a user."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import mpgsolve
 
 PACKAGE = Path(mpgsolve.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 _BELOW_CORE = {"core", "errors"}
 ALLOWED = {
@@ -63,3 +65,43 @@ def test_only_core_calls_validate():
             and (getattr(node.func, "id", None) == "validate" or getattr(node.func, "attr", None) == "validate")
         ]
         assert path.stem == "core" or not calls, f"{path.stem} calls validate on lines {calls}"
+
+
+def _used_names(path: Path) -> set[str]:
+    """Names a file takes from the package: those it imports from it, and
+    attributes it reads off one of the package's modules."""
+    tree = ast.parse(path.read_text())
+    modules = set()  # local names bound to the package or one of its modules
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mpgsolve"):
+            for alias in node.names:
+                used.add(alias.name)
+                if (PACKAGE / f"{alias.name}.py").exists():
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mpgsolve":
+                    modules.add(alias.asname or "mpgsolve")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            used.add(node.attr)
+    return used
+
+
+def test_every_exported_name_has_a_user():
+    # a user is a demo, a non-test file of the benchmark, or a module of the
+    # package other than the name's own; tests and the re-export do not count
+    home = {
+        alias.asname or alias.name: node.module
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    used = set().union(*(_used_names(p) for p in users if not p.stem.startswith("test_")))
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            used.update(name for name in _used_names(path) if home.get(name) != path.stem)
+    unused = [name for name in mpgsolve.__all__ if name not in used]
+    assert not unused, f"exported without a user: {unused}"

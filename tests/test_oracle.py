@@ -4,12 +4,12 @@ from mpgsolve import (
     BudgetExceeded,
     GameGraph,
     Owner,
-    one_vertex_game,
     oracle_lb,
     oracle_lwub,
-    oracle_value_sign,
     winning_sign,
 )
+from mpgsolve.instances import one_vertex_game
+from mpgsolve.oracle import oracle_value_sign
 from conftest import random_game
 
 INF = float("inf")

@@ -1,4 +1,4 @@
-"""Property tests: KASI in check mode against the brute-force oracle.
+"""Property tests: KASI in check mode, and VI, against the brute-force oracle.
 
 ``check=True`` also compares every incremental evaluation pass with a full
 search, so these games exercise the subtree repair as well as the answers.
@@ -10,7 +10,7 @@ edges and self-loops on purpose.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpgsolve import GameGraph, Owner, oracle_lb, oracle_lwub, solve_lb, solve_lwub
+from mpgsolve import GameGraph, Owner, max_abs_weight, oracle_lb, oracle_lwub, solve_lb, solve_lwub, vi_solve
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 OWNERS = st.sampled_from([Owner.MAX, Owner.MIN])
@@ -52,19 +52,25 @@ def _self_loops(n):
 @SETTINGS
 @given(games(), st.integers(0, 8))
 def test_lwub_matches_oracle(game, bound):
-    assert solve_lwub(game, bound, check=True).lwub == oracle_lwub(game, bound)
+    want = oracle_lwub(game, bound)
+    assert solve_lwub(game, bound, check=True).lwub == want
+    assert vi_solve(game, bound) == want
 
 
 @SETTINGS
 @given(games(split=True), st.integers(0, 8))
 def test_not_strongly_connected(game, bound):
-    assert solve_lwub(game, bound, check=True).lwub == oracle_lwub(game, bound)
+    want = oracle_lwub(game, bound)
+    assert solve_lwub(game, bound, check=True).lwub == want
+    assert vi_solve(game, bound) == want
 
 
 @SETTINGS
 @given(games(owner=st.just(Owner.MAX)) | games(owner=st.just(Owner.MIN)), st.integers(0, 8))
 def test_single_owner(game, bound):
-    assert solve_lwub(game, bound, check=True).lwub == oracle_lwub(game, bound)
+    want = oracle_lwub(game, bound)
+    assert solve_lwub(game, bound, check=True).lwub == want
+    assert vi_solve(game, bound) == want
 
 
 @SETTINGS
@@ -72,16 +78,22 @@ def test_single_owner(game, bound):
 def test_bound_zero(game):
     got = solve_lwub(game, 0, check=True).lwub
     assert got == oracle_lwub(game, 0)
+    assert vi_solve(game, 0) == got
     assert all(x in (0, float("inf")) for x in got)
 
 
 @SETTINGS
 @given(st.integers(1, 5).flatmap(_self_loops), st.integers(0, 8))
 def test_self_loops(game, bound):
-    assert solve_lwub(game, bound, check=True).lwub == oracle_lwub(game, bound)
+    want = oracle_lwub(game, bound)
+    assert solve_lwub(game, bound, check=True).lwub == want
+    assert vi_solve(game, bound) == want
 
 
 @SETTINGS
 @given(games(n_max=5))
 def test_lb_matches_oracle(game):
-    assert solve_lb(game, check=True).lwub == oracle_lb(game)
+    want = oracle_lb(game)
+    assert solve_lb(game, check=True).lwub == want
+    # the unbounded answers are the bounded ones at the reduction bound
+    assert vi_solve(game, (game.vertex_count - 1) * max_abs_weight(game)) == want

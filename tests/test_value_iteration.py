@@ -3,13 +3,12 @@ import random
 from mpgsolve import (
     GameGraph,
     Owner,
-    ViState,
-    one_vertex_game,
     solve_lwub,
     two_vertex_duel,
     vi_solve,
-    vi_step,
 )
+from mpgsolve.instances import one_vertex_game
+from mpgsolve.value_iteration import ViState, vi_step
 from conftest import random_game
 
 INF = float("inf")
