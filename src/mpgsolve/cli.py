@@ -107,6 +107,32 @@ def _shrink(graph: GameGraph, bound: int, budget: int) -> GameGraph:
     return current
 
 
+_FAMILIES = ("sprand", "torus", "layered", "collect", "supply", "taxi")
+
+
+def _small_spec(rng: random.Random, family: str, n_max: int, w_max: int) -> GenSpec:
+    """A random instance of ``family`` with 1 to 21 vertices (sprand: 1 to
+    ``2 * n_max``); ``w_max`` bounds the weights of sprand, torus and layered."""
+    seed = rng.randrange(2**32)
+    weights = {"weight_lo": -w_max, "weight_hi": w_max}
+    if family == "sprand":
+        return GenSpec(family=family, seed=seed, n=rng.randint(1, 2 * n_max),
+                       edge_factor=rng.choice([1.0, 1.5, 2.0, 3.0]), **weights)
+    if family == "torus":
+        return GenSpec(family=family, seed=seed, rows=rng.randint(2, 4), cols=rng.randint(2, 4),
+                       **weights)
+    if family == "layered":
+        return GenSpec(family=family, seed=seed, layers=rng.randint(2, 4),
+                       width=rng.randint(1, 4), **weights)
+    if family == "collect":
+        return GenSpec(family=family, seed=seed, grid=rng.randint(1, 2),
+                       phases=rng.randint(1, 2), docks=rng.randint(0, 1))
+    if family == "supply":
+        return GenSpec(family=family, seed=seed, sites=rng.randint(1, 3),
+                       max_request=rng.randint(1, 2), refill=rng.randint(1, 3))
+    return GenSpec(family=family, seed=seed, zones=rng.randint(2, 3), margin=rng.randint(0, 2))
+
+
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise InvalidSpec(f"--n-max must be >= 1, got {args.n_max}")
@@ -115,16 +141,11 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     budget = args.budget
     for trial in range(args.trials):
-        n = rng.randint(1, args.n_max)
-        spec = GenSpec(
-            family="sprand",
-            seed=rng.randrange(2**32),
-            n=n,
-            edge_factor=rng.choice([1.0, 1.5, 2.0, 3.0]),
-            weight_lo=-args.w_max,
-            weight_hi=args.w_max,
-        )
-        graph = generate(spec)
+        graph = generate(_small_spec(rng, rng.choice(_FAMILIES), args.n_max, args.w_max))
+        # cut to at most n_max vertices, which leaves most games without
+        # strong connectivity
+        size = min(graph.vertex_count, rng.randint(1, args.n_max))
+        graph = induced_subgame(graph, rng.sample(range(graph.vertex_count), size))
         bound = rng.randint(0, args.bound_max)
         disagreement = _verify_one(graph, bound, budget)
         if disagreement is not None:
@@ -178,10 +199,12 @@ def cmd_bench(args) -> int:
         for problem in problems:
             bound = (n - 1) * max_abs_weight(graph) if problem == "lb" else args.bound
             for algorithm in algorithms:
-                if algorithm == "kasi":
+                if algorithm == "kasi" and problem == "lb":
                     def run():
-                        res = kasi.solve_lwub(graph, bound, time_limit=args.time_limit)
-                        return res.iterations
+                        return kasi.solve_lb(graph, time_limit=args.time_limit).iterations
+                elif algorithm == "kasi":
+                    def run():
+                        return kasi.solve_lwub(graph, bound, time_limit=args.time_limit).iterations
                 else:
                     def run():
                         stats: dict = {}
@@ -219,8 +242,7 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("--family", required=True,
-                   choices=["sprand", "torus", "layered", "collect", "supply", "taxi"])
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--edge-factor", type=float, default=2.0)
@@ -248,7 +270,8 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--bound-max", type=int, default=10)
-    p.add_argument("--w-max", type=int, default=4)
+    p.add_argument("--w-max", type=int, default=4,
+                   help="weight range [-w, w] of the sprand, torus and layered games")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=cmd_verify)

@@ -10,10 +10,17 @@ vectors agree.  After k rounds ``d_k(v)`` is the minimum initial energy
 surviving a k-step play, so the fixpoint is the bounded energy requirement,
 and at the reduction bound ``(|V|-1) * W`` it solves the unbounded problem.
 
-:func:`vi_solve` runs the iteration asynchronously, with a worklist that
-recomputes a vertex only when a successor grew.  :func:`vi_step` is one
-synchronous round, the textbook iteration, kept as the reference that the
-k-step semantics are tested on; both reach the same fixpoint.
+:func:`vi_solve` is the counter-based lifting algorithm of Brim, Chaloupka,
+Doyen, Gentilini and Raskin ("Faster algorithms for mean-payoff games",
+FMSD 2011).  A popped vertex passes its value to its predecessors once, as
+``told``.  A Min predecessor rises at once to the larger successor value.  A
+Max predecessor keeps the number of out-edges that still justify its value,
+and rescans its out-edges only when that number reaches zero.  Values never
+fall and ``told <= d`` holds throughout, so no value passes the least
+fixpoint, and an empty worklist leaves every vertex consistent.
+:func:`vi_step` is one synchronous round, the textbook iteration, kept as
+the reference that the k-step semantics are tested on; both reach the same
+fixpoint.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ def vi_solve(
     time_limit: float | None = None,
     stats: dict | None = None,
 ) -> list:
-    """Iterate to the fixpoint with a worklist; returns the bounded energy
+    """Iterate to the fixpoint with counters; returns the bounded energy
     requirement.  ``stats["iterations"]`` receives the worklist pops."""
     bound = check_bound(bound)
     deadline = None if time_limit is None else time.perf_counter() + time_limit
@@ -95,9 +102,19 @@ def vi_solve(
     out = game.out_adjacency
     inc = game.in_adjacency
     is_max = [o is Owner.MAX for o in game.owners]
-    d: list = [0] * n
-    queue = list(range(n))
-    in_queue = bytearray(b"\x01" * n)
+    # told[v] is the value v last passed to its predecessors; count[p], at a
+    # Max vertex, is the number of out-edges (p, u, w) with told[u] - w <= d[p]
+    told = [0] * n
+    d = [_value(out[v], told, bound, is_max[v]) for v in range(n)]
+    count = [0] * n
+    for v in range(n):
+        if is_max[v]:
+            x = d[v]
+            count[v] = sum(1 for _, w in out[v] if -w <= x)
+    queue = [v for v in range(n) if d[v] > 0]
+    in_queue = bytearray(n)
+    for v in queue:
+        in_queue[v] = 1
     head = 0
     pops = 0
     while head < len(queue):
@@ -107,15 +124,39 @@ def vi_solve(
         pops += 1
         if deadline is not None and pops % 4096 == 0 and time.perf_counter() > deadline:
             raise TimeLimitExceeded(f"value iteration exceeded {time_limit} s")
-        x = _value(out[v], d, bound, is_max[v])
-        if x > d[v]:
-            # monotone ascent: a vertex value never decreases, and infinity,
-            # once reached, is final
-            d[v] = x
-            for u, _ in inc[v]:
-                if not in_queue[u]:
-                    in_queue[u] = 1
-                    queue.append(u)
+        old = told[v]
+        new = told[v] = d[v]
+        for p, w in inc[v]:
+            x = new - w
+            dp = d[p]
+            if x <= dp:  # also when d[p] is infinity, which is final
+                continue
+            if is_max[p]:
+                if old - w > dp:  # the edge was not counted
+                    continue
+                c = count[p] - 1
+                if c:
+                    count[p] = c
+                    continue
+                # no out-edge justifies d[p] any more: rescan for the new
+                # minimum, which exceeds d[p] >= 0, and its multiplicity
+                best = INF
+                c = 0
+                for u, wu in out[p]:
+                    y = told[u] - wu
+                    if y < best:
+                        best = y
+                        c = 1
+                    elif y == best:
+                        c += 1
+                d[p] = best if best <= bound else INF
+                count[p] = c
+            else:
+                # Min maximises, so one larger successor raises her at once
+                d[p] = x if x <= bound else INF
+            if not in_queue[p]:
+                in_queue[p] = 1
+                queue.append(p)
         if head > 1048576 and head * 2 > len(queue):
             del queue[:head]
             head = 0

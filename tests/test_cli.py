@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from mpgsolve import memory_game, render_game
+from mpgsolve import generate, memory_game, render_game
 from mpgsolve.cli import main
 
 
@@ -111,6 +111,20 @@ class TestVerify:
         assert code == 0
         assert "40/40 agree" in capsys.readouterr().out
 
+    def test_draws_from_all_six_families(self, capsys, monkeypatch):
+        specs = []
+
+        def recording_generate(spec):
+            specs.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr("mpgsolve.cli.generate", recording_generate)
+        assert main(["verify", "--n-max", "5", "--trials", "40",
+                     "--bound-max", "6", "--seed", "1"]) == 0
+        assert len(specs) == 40
+        assert {s.family for s in specs} == {"sprand", "torus", "layered", "collect",
+                                              "supply", "taxi"}
+
     def test_empty_ranges_exit_2(self, capsys):
         assert main(["verify", "--n-max", "0"]) == 2
         assert "--n-max must be >= 1, got 0" in capsys.readouterr().err
@@ -132,6 +146,20 @@ class TestBench:
         for line in lines[1:]:
             assert len(line.split(",")) == 8
         assert main(["bench", str(path), "--problems", "lwub"]) == 2
+
+    def test_lb_overflow_guard_exits_2(self, tmp_path, capsys):
+        # (|V|-1) * W * |V| = 2 * 2**61 * 3 leaves the 64-bit envelope, as
+        # `mpg solve --problem lb` reports for the same file
+        path = tmp_path / "heavy.mpg"
+        path.write_text(f"p mpg 3 3\no 0 MAX\no 1 MIN\no 2 MAX\n"
+                        f"e 0 1 {2**61}\ne 1 2 0\ne 2 0 0\n")
+        assert main(["solve", "--problem", "lb", str(path)]) == 2
+        assert "64-bit envelope" in capsys.readouterr().err
+        assert main(["bench", str(path), "--algorithms", "kasi", "--problems", "lb",
+                     "--repeat", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "64-bit envelope" in captured.err
+        assert captured.out == ""
 
     def test_bound_without_lwub_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)

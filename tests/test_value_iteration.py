@@ -1,4 +1,7 @@
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from mpgsolve import (
     GameGraph,
@@ -7,6 +10,8 @@ from mpgsolve import (
     two_vertex_duel,
     vi_solve,
 )
+from mpgsolve import value_iteration
+from mpgsolve.errors import TimeLimitExceeded
 from mpgsolve.instances import one_vertex_game
 from mpgsolve.value_iteration import ViState, vi_step
 from conftest import random_game
@@ -22,6 +27,14 @@ def steps(game, bound, k):
         state = vi_step(game, bound, state)
         history.append(list(state.d))
     return history
+
+
+def fixpoint(game, bound):
+    """The synchronous rounds of vi_step, iterated to their fixpoint."""
+    state = ViState.initial(game)
+    while state.dirty:
+        state = vi_step(game, bound, state)
+    return state.d
 
 
 class TestStep:
@@ -67,14 +80,97 @@ class TestSolve:
             assert vi_solve(g, b) == solve_lwub(g, b, check=True).lwub
 
     def test_plain_and_worklist_agree(self, rng):
-        # the synchronous rounds of vi_step, iterated to their fixpoint
         for _ in range(100):
             g = random_game(rng)
             b = rng.randint(0, 10)
-            state = ViState.initial(g)
-            while state.dirty:
-                state = vi_step(g, b, state)
-            assert state.d == vi_solve(g, b)
+            assert fixpoint(g, b) == vi_solve(g, b)
+
+    def test_time_limit_in_the_past(self):
+        # the value climbs by 1 per pop, so 10**6 pops pass a check
+        with pytest.raises(TimeLimitExceeded):
+            vi_solve(one_vertex_game(-1), 10**6, time_limit=-1.0)
+
+    def test_time_limit_checked_within_4096_pops(self, monkeypatch):
+        # a chain whose values rise along the queue: one pop per vertex
+        n = 20000
+        g = GameGraph(n, [MAX] * n, [(0, 0, 0)] + [(v, v - 1, -1) for v in range(1, n)])
+        stats = {}
+        assert vi_solve(g, n, stats=stats) == list(range(n))
+        assert stats["iterations"] == n - 1
+        reads = 0
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return reads
+
+        monkeypatch.setattr(value_iteration, "time", SimpleNamespace(perf_counter=clock))
+        with pytest.raises(TimeLimitExceeded):
+            vi_solve(g, n, time_limit=0.5)
+        # one read sets the deadline, the next is the check at pop 4,096
+        assert reads == 2
+
+
+class TestCounters:
+    """Hand-built games for the per-vertex counters of vi_solve: each answer
+    is checked by hand and against the iterated vi_step at several bounds."""
+
+    @staticmethod
+    def check(game, bound, want):
+        assert vi_solve(game, bound) == want
+        assert fixpoint(game, bound) == want
+        for b in range(8):
+            assert vi_solve(game, b) == fixpoint(game, b), b
+
+    def test_tied_minimal_successors(self):
+        # 0 starts at 1 with two edges counted; 1 rising leaves one, 2
+        # rising leaves none and forces the rescan
+        g = GameGraph(
+            6, [MAX, MIN, MIN, MAX, MAX, MAX],
+            [(0, 1, -1), (0, 2, -1), (0, 3, -4), (1, 4, -1), (2, 5, -3),
+             (3, 3, 0), (4, 4, 0), (5, 5, 0)],
+        )
+        self.check(g, 10, [2, 1, 3, 0, 0, 0])
+
+    def test_parallel_edges_with_different_weights(self):
+        # only the heavier parallel edge of Max vertex 0 counts; Min vertex
+        # 4 is raised by the lighter of her two parallels
+        g = GameGraph(
+            5, [MAX, MIN, MAX, MAX, MIN],
+            [(0, 1, -1), (0, 1, -3), (0, 2, -5), (1, 3, -2), (2, 2, 0),
+             (3, 3, 0), (4, 1, 0), (4, 1, -2)],
+        )
+        self.check(g, 10, [3, 2, 0, 0, 4])
+
+    def test_negative_self_loops(self):
+        # Max vertex 0 climbs its own loop until the exit to 1, which needs
+        # 3, is no dearer; Min vertex 2 climbs hers to infinity
+        g = GameGraph(
+            3, [MAX, MAX, MIN],
+            [(0, 0, -1), (0, 1, -3), (1, 1, 0), (2, 2, -1), (2, 1, 0)],
+        )
+        self.check(g, 5, [3, 0, INF])
+        self.check(g, 2, [INF, 0, INF])
+
+    def test_bound_zero(self):
+        # any positive requirement is infinity at once
+        g = GameGraph(
+            5, [MAX, MAX, MIN, MIN, MAX],
+            [(0, 1, 0), (0, 2, -1), (1, 1, 0), (2, 2, -1), (3, 0, 0), (3, 2, 5),
+             (4, 2, 5), (4, 0, 0)],
+        )
+        self.check(g, 0, [0, 0, INF, INF, 0])
+        assert vi_solve(two_vertex_duel(), 0) == fixpoint(two_vertex_duel(), 0)
+
+    def test_successor_jumps_to_infinity_under_a_count_above_one(self):
+        # 4 is infinite from the start and sends 1 and 2 there in one step
+        # each; vertex 0's count falls from 3 to 1 without a rescan
+        edges = [(0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 4, 0), (2, 4, 0), (4, 4, -5)]
+        g = GameGraph(5, [MAX, MIN, MIN, MAX, MIN], edges + [(3, 3, 0)])
+        self.check(g, 4, [0, INF, INF, 0, INF])
+        # with 3 lost too, the count reaches 0 and the rescan finds no finite edge
+        g = GameGraph(5, [MAX, MIN, MIN, MIN, MIN], edges + [(3, 4, 0)])
+        self.check(g, 4, [INF] * 5)
 
 
 def survives(game, v, energy, bound, depth, memo):
