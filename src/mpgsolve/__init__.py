@@ -37,7 +37,6 @@ from .errors import (
 )
 from .formats import (
     parse_game,
-    render_bench_row,
     render_game,
     render_strategy,
     render_values,
@@ -88,7 +87,6 @@ __all__ = [
     "render_values",
     "render_strategy",
     "render_witness",
-    "render_bench_row",
     "GameError",
     "ValidationError",
     "ZeroOutDegree",

@@ -1,4 +1,4 @@
-"""Command-line frontend: solve, gen, verify and bench subcommands.
+"""Command-line frontend: solve, gen and verify subcommands.
 
 Exit codes: 0 ok, 1 broken internal invariant, 2 input error, 3 budget or
 time limit exceeded.
@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
 from . import formats, kasi, oracle
-from .core import GameGraph, induced_subgame, max_abs_weight
+from .core import GameGraph, induced_subgame, reduction_bound
 from .errors import (
     BudgetExceeded,
     GameError,
@@ -61,10 +59,7 @@ def cmd_solve(args) -> int:
     else:
         if args.emit_strategy or args.emit_witness:
             raise InvalidSpec("strategy and witness output need --algorithm kasi")
-        bound = args.bound
-        if args.problem == "lb":
-            n = graph.vertex_count
-            bound = (n - 1) * max_abs_weight(graph)
+        bound = reduction_bound(graph) if args.problem == "lb" else args.bound
         values = vi_solve(graph, bound, time_limit=args.time_limit)
     _write_output(args.output, formats.render_values(values))
     return 0
@@ -161,71 +156,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _time_cell(run, repeat: int):
-    """Median wall-clock seconds over repeats; None marks a timeout."""
-    samples = []
-    iterations = 0
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        try:
-            iterations = run()
-        except TimeLimitExceeded:
-            return time.perf_counter() - t0, None
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples), iterations
-
-
-def cmd_bench(args) -> int:
-    algorithms = args.algorithms.split(",")
-    problems = args.problems.split(",")
-    for a in algorithms:
-        if a not in ("kasi", "vi"):
-            raise InvalidSpec(f"unknown algorithm {a!r}")
-    for p in problems:
-        if p not in ("lb", "lwub"):
-            raise InvalidSpec(f"unknown problem {p!r}")
-    if args.repeat < 1:
-        raise InvalidSpec("--repeat must be >= 1")
-    if "lwub" in problems and args.bound is None:
-        raise InvalidSpec("--bound is required when --problems includes lwub")
-    if "lwub" not in problems and args.bound is not None:
-        raise InvalidSpec("--bound only applies when --problems includes lwub")
-    rows = []
-    for name in args.instances:
-        path = Path(name)
-        graph = formats.parse_game(path.read_text())
-        n = graph.vertex_count
-        m = len(graph.edges)
-        for problem in problems:
-            bound = (n - 1) * max_abs_weight(graph) if problem == "lb" else args.bound
-            for algorithm in algorithms:
-                if algorithm == "kasi" and problem == "lb":
-                    def run():
-                        return kasi.solve_lb(graph, time_limit=args.time_limit).iterations
-                elif algorithm == "kasi":
-                    def run():
-                        return kasi.solve_lwub(graph, bound, time_limit=args.time_limit).iterations
-                else:
-                    def run():
-                        stats: dict = {}
-                        vi_solve(graph, bound, time_limit=args.time_limit, stats=stats)
-                        return stats["iterations"]
-                seconds, iterations = _time_cell(run, args.repeat)
-                rows.append(
-                    formats.render_bench_row(
-                        path.stem, n, m, problem, bound, algorithm, seconds,
-                        -1 if iterations is None else iterations,
-                    )
-                )
-    rows.sort()
-    _write_output(args.output, formats.BENCH_HEADER + "".join(rows))
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mpg",
-        description="Solvers, generators and benchmarks for energy problems on mean-payoff games.",
+        description="Solvers, generators and a differential tester for energy problems on mean-payoff games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,18 +209,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time algorithms over instance files (parse time excluded)")
-    p.add_argument("instances", nargs="+", help="game files")
-    p.add_argument("--algorithms", default="kasi,vi")
-    p.add_argument("--problems", default="lb")
-    p.add_argument("--bound", type=int, default=None,
-                   help="lwub bound; required when --problems includes lwub, and only then")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--time-limit", type=float, default=None,
-                   help="per-run limit; timed-out cells report iterations=-1")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

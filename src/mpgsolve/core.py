@@ -13,13 +13,16 @@ Value-vector conventions used throughout the package:
 Every way of building a game (the constructor, and through it parsing,
 generation, :func:`induced_subgame` and :func:`restrict_to_strategy`)
 yields one that passes :func:`validate`, the one place that decides whether
-a game is well formed; the solvers take that for granted.  Graphs must not
-be written to after construction and are safe to share between solver
-runs; strategies and vectors are independent values.
+a game is well formed and inside the 64-bit envelope; the solvers take that
+for granted.  :func:`reduction_bound` is the one place that derives the lb
+reduction bound and checks its envelope.  Graphs must not be written to
+after construction and are safe to share between solver runs; strategies
+and vectors are independent values.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -31,6 +34,8 @@ from .errors import (
     EmptyKeepSet,
     InvalidSpec,
     InvalidStrategy,
+    OverflowRisk,
+    TimeLimitExceeded,
     ValidationError,
     ZeroOutDegree,
 )
@@ -43,6 +48,10 @@ SUBGAME_SELF_LOOP_WEIGHT = -1
 #: Accumulations up to |V| * W must fit well inside 64-bit signed arithmetic
 #: so that results stay portable to fixed-width implementations.
 WEIGHT_ENVELOPE = 2**63
+
+#: The solvers look at the clock once per this many steps (heap or
+#: worklist pops).
+DEADLINE_STRIDE = 4096
 
 #: The infinite entries of potential and energy vectors.
 NEG_INF = float("-inf")
@@ -140,7 +149,8 @@ def validate(graph: GameGraph) -> None:
 
     The vertex count and every edge field must be ints, not merely
     convertible to one.  Raises ZeroOutDegree, DanglingEdge,
-    AdjacencyMismatch or ValidationError itself (their base class).
+    AdjacencyMismatch or ValidationError itself (their base class), and
+    OverflowRisk when |V| * W leaves the 64-bit envelope.
     """
     n = graph.vertex_count
     if type(n) is not int:
@@ -164,6 +174,8 @@ def validate(graph: GameGraph) -> None:
     in_count = sum(map(len, graph.in_adjacency))
     if not (out_count == in_count == len(graph.edges)):
         raise AdjacencyMismatch()
+    if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
+        raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
 
 
 def check_bound(value, name: str = "bound") -> int:
@@ -171,6 +183,30 @@ def check_bound(value, name: str = "bound") -> int:
     if type(value) is not int or value < 0:
         raise InvalidSpec(f"{name} must be a non-negative int, got {value!r}")
     return value
+
+
+def reduction_bound(graph: GameGraph) -> int:
+    """The bound ``(|V|-1) * W`` at which lwub solves lb; raises OverflowRisk
+    when ``(|V|-1) * W * |V|`` leaves the 64-bit envelope."""
+    n = graph.vertex_count
+    bound = (n - 1) * max_abs_weight(graph)
+    if bound * n >= WEIGHT_ENVELOPE:
+        raise OverflowRisk(f"(|V|-1)*W*|V| = {bound * n} exceeds the 64-bit envelope")
+    return bound
+
+
+def deadline_after(time_limit: float | None):
+    """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
+    passed from now, or None without a limit."""
+    if time_limit is None:
+        return None
+    at = time.perf_counter() + time_limit
+
+    def expire():
+        if time.perf_counter() > at:
+            raise TimeLimitExceeded(f"solve exceeded {time_limit} s")
+
+    return expire
 
 
 def validate_strategy(graph: GameGraph, strategy: PositionalStrategy) -> None:

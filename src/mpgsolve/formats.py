@@ -1,5 +1,5 @@
-"""Text formats: games are parsed and rendered; results, strategies,
-witnesses and bench CSV are only rendered (FORMAT.md documents them all).
+"""Text formats: games are parsed and rendered; results, strategies and
+witnesses are only rendered (FORMAT.md documents them all).
 
 Game grammar (see FORMAT.md for the ABNF):
 
@@ -17,9 +17,8 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import GameGraph, Owner, PositionalStrategy, max_abs_weight
-from .core import INF, WEIGHT_ENVELOPE, MinWitness
-from .errors import InvariantViolation, OverflowRisk, ParseError
+from .core import INF, GameGraph, MinWitness, Owner, PositionalStrategy
+from .errors import InvariantViolation, ParseError
 
 INF_TOKEN = "inf"
 
@@ -37,7 +36,8 @@ _OWNER = {o.value: o for o in Owner}
 
 
 def parse_game(text: str) -> GameGraph:
-    """Parse the game grammar; raises ParseError or a ValidationError.
+    """Parse the game grammar; raises ParseError, a ValidationError or
+    OverflowRisk.
 
     Every well-formed file takes one path: each block of consecutive records
     with the same tag is tokenised by one ``split()`` and converted a column
@@ -52,10 +52,7 @@ def parse_game(text: str) -> GameGraph:
     if parts is None:
         _raise_line_error(text)
     n, owners, tails, heads, weights = parts
-    graph = GameGraph(n, owners, zip(tails, heads, weights))
-    if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
-        raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
-    return graph
+    return GameGraph(n, owners, zip(tails, heads, weights))
 
 
 def _records(text: str):
@@ -186,19 +183,3 @@ def render_witness(witness: MinWitness) -> str:
         parts.append(f"k {i}\n")
         parts.append(render_strategy(strategy))
     return "".join(parts)
-
-
-def render_bench_row(
-    instance: str,
-    n: int,
-    m: int,
-    problem: str,
-    bound,
-    algorithm: str,
-    seconds: float,
-    iterations: int,
-) -> str:
-    return f"{instance},{n},{m},{problem},{bound},{algorithm},{seconds:.6f},{iterations}\n"
-
-
-BENCH_HEADER = "instance,n,m,problem,bound,algorithm,seconds,iterations\n"

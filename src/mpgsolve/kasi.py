@@ -59,32 +59,30 @@ forest.  Min in general needs memory: her optimal play is the recorded
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .core import (
+    DEADLINE_STRIDE,
     INF,
     NEG_INF,
-    WEIGHT_ENVELOPE,
     GameGraph,
     MinWitness,
     Owner,
     PositionalStrategy,
     SolveResult,
     check_bound,
-    max_abs_weight,
+    deadline_after,
+    reduction_bound,
     validate_strategy,
 )
 from .errors import (
     InvalidSpec,
     InvalidStrategy,
     InvariantViolation,
-    OverflowRisk,
     PositiveTransformedEdge,
     PreconditionViolated,
-    TimeLimitExceeded,
     WitnessIncomplete,
 )
 
@@ -153,24 +151,6 @@ def _residual(g, pi, v, d):
         if t > best:
             best = t
     return best
-
-
-def _deadline(time_limit):
-    """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
-    passed from now, or None without a limit."""
-    if time_limit is None:
-        return None
-    at = time.perf_counter() + time_limit
-
-    def expire():
-        if time.perf_counter() > at:
-            raise TimeLimitExceeded(f"solve exceeded {time_limit} s")
-
-    return expire
-
-
-#: The searches look at the clock once per this many heap pops.
-DEADLINE_STRIDE = 4096
 
 
 def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
@@ -470,20 +450,20 @@ def _initial_pi(game, strategy):
     return pi
 
 
-def _solve(game, bound, w_max, check, initial_strategy, time_limit):
-    """KASI on a validated game at a non-negative bound."""
+def _solve(game, bound, check, time_limit):
+    """KASI on a validated game at a non-negative bound, from Min's
+    lowest-indexed successors."""
     g = _Prepared(game)
     n, pred, is_min = g.n, g.pred, g.is_min
-    if initial_strategy is None:  # the lowest-indexed successor
-        pi = [None if succ is None else min(succ) for succ in g.succ]
-    else:
-        pi = _initial_pi(game, initial_strategy)
+    pi = [None if succ is None else min(succ) for succ in g.succ]
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
     prev = None
-    max_main = n * n * w_max + 1
-    deadline = _deadline(time_limit)
+    # d only falls, each iteration after the first lowers some d(v), and
+    # d(v) is one of 0, -1, ..., -bound, -inf
+    max_main = n * (bound + 1) + 1
+    deadline = deadline_after(time_limit)
     iteration = 0
     while True:
         if check:
@@ -537,7 +517,6 @@ def solve_lwub(
     bound: int,
     *,
     check: bool = False,
-    initial_strategy: PositionalStrategy | None = None,
     time_limit: float | None = None,
 ) -> SolveResult:
     """Solve the bounded energy problem for ``game`` at truncation bound ``bound``.
@@ -546,7 +525,7 @@ def solve_lwub(
     potential transformation; the correctness test-suite always runs with it,
     benchmarks never do.
     """
-    return _solve(game, check_bound(bound), max_abs_weight(game), check, initial_strategy, time_limit)
+    return _solve(game, check_bound(bound), check, time_limit)
 
 
 def solve_lb(
@@ -556,13 +535,7 @@ def solve_lb(
     time_limit: float | None = None,
 ) -> SolveResult:
     """Solve the unbounded problem via the reduction bound ``(|V|-1) * W``."""
-    n = game.vertex_count
-    w_max = max_abs_weight(game)
-    if (n - 1) * w_max * n >= WEIGHT_ENVELOPE:
-        raise OverflowRisk(
-            f"(|V|-1)*W*|V| = {(n - 1) * w_max * n} exceeds the 64-bit envelope"
-        )
-    return _solve(game, (n - 1) * w_max, w_max, check, None, time_limit)
+    return _solve(game, reduction_bound(game), check, time_limit)
 
 
 def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -17,7 +17,7 @@ These are exactly the two losing conditions of the bounded problem.
 
 from __future__ import annotations
 
-from .core import INF, GameGraph, Owner, check_bound, max_abs_weight
+from .core import INF, GameGraph, Owner, check_bound, reduction_bound
 from .errors import BudgetExceeded
 
 
@@ -111,8 +111,7 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
 
 def oracle_lb(game: GameGraph, *, budget: int = DEFAULT_STATE_BUDGET) -> list:
     """Unbounded energy requirement via the reduction bound (|V|-1) * W."""
-    bound = (game.vertex_count - 1) * max_abs_weight(game)
-    return oracle_lwub(game, bound, budget=budget)
+    return oracle_lwub(game, reduction_bound(game), budget=budget)
 
 
 def _positional_choices(game: GameGraph, player: Owner) -> tuple[list[int], list[list[int]]]:

@@ -25,11 +25,9 @@ fixpoint.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from .core import INF, GameGraph, Owner, check_bound
-from .errors import TimeLimitExceeded
+from .core import DEADLINE_STRIDE, INF, GameGraph, Owner, check_bound, deadline_after
 
 
 @dataclass
@@ -97,7 +95,7 @@ def vi_solve(
     """Iterate to the fixpoint with counters; returns the bounded energy
     requirement.  ``stats["iterations"]`` receives the worklist pops."""
     bound = check_bound(bound)
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    deadline = deadline_after(time_limit)
     n = game.vertex_count
     out = game.out_adjacency
     inc = game.in_adjacency
@@ -122,8 +120,8 @@ def vi_solve(
         head += 1
         in_queue[v] = 0
         pops += 1
-        if deadline is not None and pops % 4096 == 0 and time.perf_counter() > deadline:
-            raise TimeLimitExceeded(f"value iteration exceeded {time_limit} s")
+        if deadline is not None and pops % DEADLINE_STRIDE == 0:
+            deadline()
         old = told[v]
         new = told[v] = d[v]
         for p, w in inc[v]:

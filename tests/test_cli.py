@@ -10,6 +10,15 @@ def write_memory_game(tmp_path: Path) -> Path:
     return path
 
 
+def write_heavy_game(tmp_path: Path, weight: int) -> Path:
+    # (|V|-1) * W * |V| = 2 * 2**61 * 3 leaves the 64-bit envelope, while
+    # |V| * W = 3 * 2**61 stays inside it
+    path = tmp_path / "heavy.mpg"
+    path.write_text(f"p mpg 3 3\no 0 MAX\no 1 MIN\no 2 MAX\n"
+                    f"e 0 1 {weight}\ne 1 2 0\ne 2 0 0\n")
+    return path
+
+
 class TestSolve:
     def test_kasi_lwub_on_memory_game(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
@@ -64,6 +73,19 @@ class TestSolve:
             assert code == 2
             assert "bound must be a non-negative int, got -1" in capsys.readouterr().err
 
+    def test_lb_overflow_guard_exits_2(self, tmp_path, capsys):
+        path = write_heavy_game(tmp_path, 2**61)
+        assert main(["solve", "--problem", "lb", str(path)]) == 2
+        assert "64-bit envelope" in capsys.readouterr().err
+
+    def test_vi_lb_overflow_guard_exits_2(self, tmp_path, capsys):
+        for weight in (2**61, -2**61):
+            path = write_heavy_game(tmp_path, weight)
+            assert main(["solve", "--algorithm", "vi", "--problem", "lb", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert "64-bit envelope" in captured.err
+            assert captured.out == ""
+
     def test_kasi_and_vi_agree_on_files(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         outs = []
@@ -103,6 +125,14 @@ class TestGen:
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "nan"]) == 2
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "inf"]) == 2
 
+    def test_game_outside_the_envelope_exits_2(self, tmp_path, capsys):
+        # |V| * W = 4 * 2**62, which mpg solve would refuse to read
+        out = tmp_path / "big.mpg"
+        assert main(["gen", "--family", "sprand", "--n", "4", "--weight-lo", "1",
+                     "--weight-hi", str(2**62), "--seed", "1", "--output", str(out)]) == 2
+        assert "64-bit accumulation envelope" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_small_differential_run(self, capsys):
@@ -130,38 +160,3 @@ class TestVerify:
         assert "--n-max must be >= 1, got 0" in capsys.readouterr().err
         assert main(["verify", "--bound-max", "-1"]) == 2
         assert "--bound-max must be >= 0, got -1" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_csv_shape(self, tmp_path, capsys):
-        path = write_memory_game(tmp_path)
-        out = tmp_path / "bench.csv"
-        code = main(["bench", str(path), "--repeat", "3",
-                     "--problems", "lb,lwub", "--algorithms", "kasi,vi",
-                     "--bound", "5", "--output", str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "instance,n,m,problem,bound,algorithm,seconds,iterations"
-        assert len(lines) == 1 + 4  # 2 problems x 2 algorithms
-        for line in lines[1:]:
-            assert len(line.split(",")) == 8
-        assert main(["bench", str(path), "--problems", "lwub"]) == 2
-
-    def test_lb_overflow_guard_exits_2(self, tmp_path, capsys):
-        # (|V|-1) * W * |V| = 2 * 2**61 * 3 leaves the 64-bit envelope, as
-        # `mpg solve --problem lb` reports for the same file
-        path = tmp_path / "heavy.mpg"
-        path.write_text(f"p mpg 3 3\no 0 MAX\no 1 MIN\no 2 MAX\n"
-                        f"e 0 1 {2**61}\ne 1 2 0\ne 2 0 0\n")
-        assert main(["solve", "--problem", "lb", str(path)]) == 2
-        assert "64-bit envelope" in capsys.readouterr().err
-        assert main(["bench", str(path), "--algorithms", "kasi", "--problems", "lb",
-                     "--repeat", "1"]) == 2
-        captured = capsys.readouterr()
-        assert "64-bit envelope" in captured.err
-        assert captured.out == ""
-
-    def test_bound_without_lwub_exits_2(self, tmp_path, capsys):
-        path = write_memory_game(tmp_path)
-        assert main(["bench", str(path), "--bound", "5", "--repeat", "1"]) == 2
-        assert "--bound only applies" in capsys.readouterr().err

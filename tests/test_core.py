@@ -6,6 +6,7 @@ from mpgsolve import (
     EmptyKeepSet,
     GameGraph,
     InvalidStrategy,
+    OverflowRisk,
     Owner,
     PositionalStrategy,
     ValidationError,
@@ -71,6 +72,13 @@ class TestValidate:
         for edge in [(0, 1), (0, 1, 1, 1)]:
             with pytest.raises(ValidationError, match="not a triple of ints"):
                 GameGraph(2, [Owner.MAX, Owner.MAX], [edge, (1, 0, 0)])
+
+    def test_weight_envelope(self):
+        # |V| * W must stay below 2**63, however the game is built
+        GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, 2**62 - 1), (1, 0, 0)])
+        for w in (2**62, -2**62):
+            with pytest.raises(OverflowRisk, match="64-bit accumulation envelope"):
+                GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, w), (1, 0, 0)])
 
     def test_construction_validates_once_and_solvers_never(self, monkeypatch):
         calls = 0

@@ -16,7 +16,6 @@ from mpgsolve import (
     generate,
     memory_game,
     parse_game,
-    render_bench_row,
     render_game,
     render_strategy,
     render_values,
@@ -227,12 +226,3 @@ class TestWitnessFormat:
         assert lines.count("k 0") == 1 and lines.count("k 1") == 1
         assert lines[0] == "k 0"
         assert any(line.startswith("s 2 ") for line in lines)
-
-
-class TestBenchCsv:
-    def test_row_has_eight_fields(self):
-        row = render_bench_row("rand5-desk", 100, 500, "lb", 396, "kasi", 0.1234567, 7)
-        fields = row.strip().split(",")
-        assert len(fields) == 8
-        assert fields[0] == "rand5-desk"
-        assert fields[-1] == "7"

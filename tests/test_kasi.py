@@ -25,7 +25,7 @@ from mpgsolve import (
     verify_min_witness,
     winning_sign,
 )
-from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, formats, generate, kasi, vi_solve
+from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
 from mpgsolve.core import validate_strategy
 from mpgsolve.instances import one_vertex_game
 from conftest import random_game
@@ -136,19 +136,18 @@ class TestImproveStrategy:
         assert not changed
 
     def test_revisiting_a_strategy_is_legal(self):
-        # starting from the choice 2 -> 3 the run goes back and forth:
-        # 2->3, then 2->0, then 2->3 again on the shrunken winnable set
-        g = memory_game()
-        res = solve_lwub(
-            g,
-            MEMORY_GAME_BOUND,
-            check=True,
-            initial_strategy=PositionalStrategy(MIN, {2: 3}),
-        )
-        assert [s.choice[2] for s in res.min_witness.strategies] == [3, 0, 3]
+        # the sprand game of seed 7317 (6 vertices, weights -6..6): from the
+        # lowest-indexed successors the run goes back and forth at vertex 2,
+        # 2->0, then 2->3, then 2->0 again on the shrunken winnable set
+        g = GameGraph(6, [MAX, MAX, MIN, MIN, MAX, MAX], [
+            (0, 2, -2), (1, 3, 6), (1, 5, -5), (1, 5, 3), (2, 0, 2), (2, 1, 3),
+            (2, 3, -4), (3, 4, -3), (4, 1, 3), (5, 0, -3), (5, 0, -2), (5, 1, -1),
+        ])
+        res = solve_lwub(g, 7, check=True)
+        assert [s.choice[2] for s in res.min_witness.strategies] == [0, 3, 0]
         assert res.iterations == 3
-        assert res.lwub == [0, 12, INF, INF]
-        assert res.min_witness.death_index == [None, None, 2, 1]
+        assert res.lwub == oracle_lwub(g, 7) == [INF, 0, INF, 3, 0, 1]
+        assert res.min_witness.death_index == [1, None, 2, None, None, None]
 
 
 class TestSolveLwub:
@@ -286,8 +285,9 @@ class TestMinWitness:
 
 class TestEnergyBounds:
     def test_overflow_guard(self):
-        big = 2**62
-        g = GameGraph(2, [MAX, MAX], [(0, 1, big), (1, 0, -big)])
+        # |V| * W = 3 * 2**61 is inside the envelope, (|V|-1) * W * |V| is not
+        big = 2**61
+        g = GameGraph(3, [MAX, MIN, MAX], [(0, 1, big), (1, 2, 0), (2, 0, -big)])
         from mpgsolve import OverflowRisk
 
         with pytest.raises(OverflowRisk):
@@ -325,13 +325,13 @@ class TestBudgets:
             return heapq.heappop(heap)
 
         monkeypatch.setattr(kasi, "heappop", counting_pop)
-        monkeypatch.setattr(kasi, "time", SimpleNamespace(perf_counter=lambda: pops))
+        monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: pops))
         assert solve_lwub(g, n).lwub[0] == n - 1
         assert pops >= 2 * n  # the evaluation plus the final forest search
         pops = 0
         with pytest.raises(TimeLimitExceeded):
             solve_lwub(g, n, time_limit=100)
-        assert pops <= kasi.DEADLINE_STRIDE < n // 4
+        assert pops <= core.DEADLINE_STRIDE < n // 4
 
     def test_iteration_counts_within_budget(self, rng):
         for _ in range(100):
@@ -437,7 +437,6 @@ class TestStrategyChecks:
         return [
             lambda: evaluate_strategy(g, 5, strategy, [0, 0, 0]),
             lambda: improve_strategy(g, [0, 0, 0], strategy),
-            lambda: solve_lwub(g, 5, initial_strategy=strategy),
         ]
 
     @pytest.mark.parametrize("choice, message", [

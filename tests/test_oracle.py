@@ -3,6 +3,7 @@ import pytest
 from mpgsolve import (
     BudgetExceeded,
     GameGraph,
+    OverflowRisk,
     Owner,
     oracle_lb,
     oracle_lwub,
@@ -74,6 +75,12 @@ class TestOracleLb:
         assert oracle_lb(one_vertex_game(-1)) == [INF]
         g = GameGraph(2, [MAX, MAX], [(0, 1, 2), (1, 0, -1)])
         assert oracle_lb(g) == [0, 1]
+
+    def test_overflow_guard(self):
+        # the reduction bound 2 * 2**61 on 3 vertices leaves the 64-bit envelope
+        g = GameGraph(3, [MAX, MIN, MAX], [(0, 1, 2**61), (1, 2, 0), (2, 0, 0)])
+        with pytest.raises(OverflowRisk):
+            oracle_lb(g)
 
     def test_finite_exactly_on_nonnegative_class(self, rng):
         for _ in range(60):

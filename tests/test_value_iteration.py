@@ -10,7 +10,7 @@ from mpgsolve import (
     two_vertex_duel,
     vi_solve,
 )
-from mpgsolve import value_iteration
+from mpgsolve import core
 from mpgsolve.errors import TimeLimitExceeded
 from mpgsolve.instances import one_vertex_game
 from mpgsolve.value_iteration import ViState, vi_step
@@ -104,7 +104,7 @@ class TestSolve:
             reads += 1
             return reads
 
-        monkeypatch.setattr(value_iteration, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=clock))
         with pytest.raises(TimeLimitExceeded):
             vi_solve(g, n, time_limit=0.5)
         # one read sets the deadline, the next is the check at pop 4,096
