@@ -23,7 +23,7 @@ from .errors import (
     TimeLimitExceeded,
     ValidationError,
 )
-from .generators import GenSpec, generate
+from .generators import FAMILIES, GenSpec, generate
 from .value_iteration import vi_solve
 
 
@@ -57,8 +57,8 @@ def cmd_solve(args) -> int:
         if args.emit_witness:
             _write_output(args.emit_witness, formats.render_witness(res.min_witness))
     else:
-        if args.emit_strategy or args.emit_witness:
-            raise InvalidSpec("strategy and witness output need --algorithm kasi")
+        if args.check or args.emit_strategy or args.emit_witness:
+            raise InvalidSpec("--check, --emit-strategy and --emit-witness need --algorithm kasi")
         bound = reduction_bound(graph) if args.problem == "lb" else args.bound
         values = vi_solve(graph, bound, time_limit=args.time_limit)
     _write_output(args.output, formats.render_values(values))
@@ -102,9 +102,6 @@ def _shrink(graph: GameGraph, bound: int, budget: int) -> GameGraph:
     return current
 
 
-_FAMILIES = ("sprand", "torus", "layered", "collect", "supply", "taxi")
-
-
 def _small_spec(rng: random.Random, family: str, n_max: int, w_max: int) -> GenSpec:
     """A random instance of ``family`` with 1 to 21 vertices (sprand: 1 to
     ``2 * n_max``); ``w_max`` bounds the weights of sprand, torus and layered."""
@@ -136,7 +133,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     budget = args.budget
     for trial in range(args.trials):
-        graph = generate(_small_spec(rng, rng.choice(_FAMILIES), args.n_max, args.w_max))
+        graph = generate(_small_spec(rng, rng.choice(list(FAMILIES)), args.n_max, args.w_max))
         # cut to at most n_max vertices, which leaves most games without
         # strong connectivity
         size = min(graph.vertex_count, rng.randint(1, args.n_max))
@@ -171,12 +168,12 @@ def build_parser():
     p.add_argument("--output", default=None, help="result file (default stdout)")
     p.add_argument("--emit-strategy", default=None, help="write the optimal Max strategy here")
     p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here")
-    p.add_argument("--check", action="store_true", help="enable debug invariant checking")
+    p.add_argument("--check", action="store_true", help="enable debug invariant checking (kasi only)")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--edge-factor", type=float, default=2.0)

@@ -140,8 +140,12 @@ class SolveResult:
     lwub: list  # int or float('inf') per vertex
     max_strategy: PositionalStrategy
     min_witness: MinWitness
-    iterations: int
     final_d: list  # int or float('-inf') per vertex
+
+    @property
+    def iterations(self) -> int:
+        """Improvement iterations: the solve records one Min strategy in each."""
+        return len(self.min_witness.strategies)
 
 
 def validate(graph: GameGraph) -> None:

@@ -30,6 +30,14 @@ _PHASE_STRUCTURE = 1
 _PHASE_WEIGHTS = 2
 _PHASE_OWNERS = 3
 
+# collect: robot action weights; a move onto the item cell stays negative
+_IDLE_COST = -1
+_MOVE_COST = -2
+_RECHARGE = 5
+_ITEM_VALUE = 1
+# taxi: the fee for declining a ride
+_IDLE_FEE = -1
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -55,10 +63,6 @@ class GenSpec:
     grid: int = 3
     docks: int = 1
     phases: int = 2
-    idle_cost: int = -1
-    move_cost: int = -2
-    recharge: int = 5
-    item_value: int = 1
     # supply
     sites: int = 2
     max_request: int = 2
@@ -66,7 +70,6 @@ class GenSpec:
     # taxi
     zones: int = 3
     margin: int = 1
-    idle_fee: int = -1
 
 
 def _rng(spec: GenSpec, phase: int) -> random.Random:
@@ -158,9 +161,9 @@ def _gen_collect(spec: GenSpec) -> GameGraph:
     """Robot-on-a-grid model.
 
     States are (cell, phase) pairs, doubled into a robot half (Max) and a
-    scheduler half (Min).  The robot idles (idle_cost), moves four-ways
-    (move_cost), recharges on a dock cell (+recharge) and collects the
-    phase's item cell on entry (+item_value); after each robot action the
+    scheduler half (Min).  The robot idles (-1), moves four-ways (-2),
+    recharges on a dock cell (+5) and collects the phase's item cell on
+    entry (+1, so the move still costs -1); after each robot action the
     scheduler re-picks the phase over weight-0 edges.  The energy account is
     the battery; it is not part of the state space.
     """
@@ -169,10 +172,6 @@ def _gen_collect(spec: GenSpec) -> GameGraph:
         raise InvalidSpec("collect needs grid >= 1 and phases >= 1")
     if spec.docks < 0 or spec.docks > side * side:
         raise InvalidSpec("docks out of range")
-    if spec.idle_cost >= 0 or spec.move_cost >= 0:
-        raise InvalidSpec("idle and move costs must be negative")
-    if spec.item_value < 0 or spec.move_cost + spec.item_value >= 0:
-        raise InvalidSpec("item_value must be non-negative and keep robot moves negative")
     cells = side * side
     structure = _rng(spec, _PHASE_STRUCTURE)
     dock_cells = set(structure.sample(range(cells), spec.docks))
@@ -191,16 +190,16 @@ def _gen_collect(spec: GenSpec) -> GameGraph:
         for cell in range(cells):
             owners[scheduler(cell, phase)] = Owner.MIN
             r, c = divmod(cell, side)
-            moves = [(cell, spec.idle_cost)]
+            moves = [(cell, _IDLE_COST)]
             for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
                 if 0 <= r2 < side and 0 <= c2 < side:
                     dest = r2 * side + c2
-                    w = spec.move_cost
+                    w = _MOVE_COST
                     if dest == item_cells[phase]:
-                        w += spec.item_value
+                        w += _ITEM_VALUE
                     moves.append((dest, w))
             if cell in dock_cells:
-                moves.append((cell, spec.recharge))
+                moves.append((cell, _RECHARGE))
             for dest, w in moves:
                 edges.append((robot(cell, phase), scheduler(dest, phase), w))
             for phase2 in range(spec.phases):
@@ -245,14 +244,12 @@ def _gen_taxi(spec: GenSpec) -> GameGraph:
 
     Riders (Min) request trips between zones on a ring; the taxi (Max)
     either accepts (earning the trip distance plus a margin, minus the
-    deadhead distance to the pickup) or declines and pays an idle fee.  The
-    cash balance is the energy account.
+    deadhead distance to the pickup) or declines and pays an idle fee of 1.
+    The cash balance is the energy account.
     """
     zones = spec.zones
     if zones < 2:
         raise InvalidSpec("taxi needs zones >= 2")
-    if spec.idle_fee >= 0:
-        raise InvalidSpec("idle_fee must be negative")
 
     def ring(a: int, b: int) -> int:
         d = abs(a - b)
@@ -274,11 +271,11 @@ def _gen_taxi(spec: GenSpec) -> GameGraph:
     for (z, a, b), o in offered.items():
         edges.append((idle(z), o, 0))
         edges.append((o, idle(b), -ring(z, a) + ring(a, b) + spec.margin))
-        edges.append((o, idle(z), spec.idle_fee))
+        edges.append((o, idle(z), _IDLE_FEE))
     return GameGraph(n, owners, edges)
 
 
-_FAMILIES = {
+FAMILIES = {
     "sprand": gen_sprand,
     "torus": gen_torus,
     "layered": gen_layered,
@@ -290,7 +287,7 @@ _FAMILIES = {
 
 def generate(spec: GenSpec) -> GameGraph:
     """Dispatch on ``spec.family``."""
-    builder = _FAMILIES.get(spec.family)
+    builder = FAMILIES.get(spec.family)
     if builder is None:
-        raise InvalidSpec(f"unknown family {spec.family!r}; choose from {sorted(_FAMILIES)}")
+        raise InvalidSpec(f"unknown family {spec.family!r}; choose from {sorted(FAMILIES)}")
     return builder(spec)

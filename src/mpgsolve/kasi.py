@@ -25,9 +25,12 @@ values only fall, so a vertex whose longest-path forest path avoids every
 *root* keeps that path and its value; the roots are the vertices that just
 left ``B`` and, in the first pass after an improvement, the Min vertices
 that switched.  Each later pass therefore resets the forest subtrees below
-the roots and reruns the same search on them alone, seeded from their
-edges into the untouched part, and then tests for leaving ``B`` only those
-``B`` vertices with an edge into a changed value.  Ties may leave the
+the roots and reruns the same search on them alone, and then tests for
+leaving ``B`` only those ``B`` vertices with an edge into a changed value.
+There is one search, :func:`_search`, with two seedings: a full search
+(:func:`_dijkstra`) starts from ``B`` and opens every vertex not yet known
+losing, a repair (:func:`_repair`) opens the reset subtrees alone and
+starts from their edges into the untouched part.  Ties may leave the
 repaired forest differing from a full search's, so once the loop ends one
 full search on the final ``B``, with the last pass's potentials, rebuilds
 the very forest Max's strategy is read from.  With ``check=True`` every
@@ -153,6 +156,46 @@ def _residual(g, pi, v, d):
     return best
 
 
+def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
+    """The longest-path search of :func:`_dijkstra` and :func:`_repair`.
+
+    Settles the entries of ``heap`` in max-priority order and relaxes the
+    restricted in-edges of each settled vertex into the vertices marked in
+    ``opened``, updating ``d`` and ``parent`` in place.  The callers differ
+    only in how they seed ``d``, ``parent``, ``heap`` and ``opened``.
+    """
+    n = g.n
+    pred = g.pred
+    is_min = g.is_min
+    pops = 0
+    while heap:
+        item = heappop(heap)
+        if deadline is not None:
+            pops += 1
+            if pops % DEADLINE_STRIDE == 0:
+                deadline()
+        y = item % n
+        dy = d[y]
+        if item != (pot[y] - dy) * n + y:
+            continue  # stale heap entry (lazy deletion)
+        for x, w in pred[y]:
+            if not opened[x]:
+                continue
+            if is_min[x] and pi[x] != y:
+                continue  # edge removed by the strategy restriction
+            cand = dy + w
+            if cand < -bound:
+                continue  # admissibility pruning, see _dijkstra
+            if cand > d[x]:
+                if check and w - pot[x] + pot[y] > 0:
+                    raise PositiveTransformedEdge(
+                        f"edge ({x}, {y}) has transformed weight {w - pot[x] + pot[y]} > 0"
+                    )
+                d[x] = cand
+                parent[x] = y
+                heappush(heap, (pot[x] - cand) * n + x)
+
+
 def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     """Longest admissible paths to ``targets``, by max-priority search.
 
@@ -168,49 +211,19 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     still inadmissible, candidate at ``x``.  Greedy extraction therefore
     computes exactly the longest path whose every suffix weighs at least
     ``-bound``, and leaves ``d(x) = -inf`` when no such path exists.
+
+    The search starts from the targets at key 0 and opens every other
+    vertex whose potential is finite; one at ``-inf`` is known losing.
     """
     n = g.n
-    pred = g.pred
-    is_min = g.is_min
     d = [NEG_INF] * n
-    parent = [-1] * n
-    in_targets = bytearray(n)
-    heap = []
-    for v in sorted(targets):
+    heap = sorted(targets)  # all at key 0, so already a heap
+    opened = bytearray(map(NEG_INF.__ne__, pot))
+    for v in heap:
         d[v] = 0
-        in_targets[v] = 1
-        heap.append(v)  # key 0
-    heapify(heap)
-    pops = 0
-    while heap:
-        item = heappop(heap)
-        if deadline is not None:
-            pops += 1
-            if pops % DEADLINE_STRIDE == 0:
-                deadline()
-        y = item % n
-        dy = d[y]
-        if item != (pot[y] - dy) * n + y:
-            continue  # stale heap entry (lazy deletion)
-        for x, w in pred[y]:
-            if in_targets[x]:
-                continue
-            if is_min[x] and pi[x] != y:
-                continue  # edge removed by the strategy restriction
-            px = pot[x]
-            if px == NEG_INF:
-                continue  # already known losing; stays -inf
-            cand = dy + w
-            if cand < -bound:
-                continue  # admissibility pruning, see docstring
-            if cand > d[x]:
-                if check and w - px + pot[y] > 0:
-                    raise PositiveTransformedEdge(
-                        f"edge ({x}, {y}) has transformed weight {w - px + pot[y]} > 0"
-                    )
-                d[x] = cand
-                parent[x] = y
-                heappush(heap, (px - cand) * n + x)
+        opened[v] = 0
+    parent = [-1] * n
+    _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline)
     if check:
         for v in range(n):
             if d[v] > pot[v]:
@@ -218,16 +231,16 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     return d, parent
 
 
-def _repair(g, pi, bound, pot, parent, roots, deadline):
+def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     """Incremental counterpart of :func:`_dijkstra`: its result given
     ``pot`` and ``parent``, the values and forest of a previous search whose
-    targets or strategy differed only at ``roots`` (see the module
-    docstring).  Returns ``(d, parent, changed)``, ``changed`` listing the
-    vertices whose value fell.  It makes none of the debug checks of
-    :func:`_dijkstra`: with ``check=True`` the caller runs that search too.
+    targets or strategy differed only at ``roots``, distinct vertices (see
+    the module docstring).  Returns ``(d, parent, changed)``, ``changed`` listing the
+    vertices whose value fell.  The search is :func:`_search`, opened on the
+    region below the roots alone and seeded from the region's edges out of
+    it.
     """
     pred = g.pred
-    is_min = g.is_min
     succ_of = g.succ
     out = g.out
     n = g.n
@@ -235,11 +248,9 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
     parent = list(parent)
     # the region: the roots and every forest descendant of one
     in_region = bytearray(n)
-    region = []
-    for r in sorted(roots):  # the seeding below depends on the region's order
-        if not in_region[r]:
-            in_region[r] = 1
-            region.append(r)
+    region = sorted(roots)  # the seeding below depends on the region's order
+    for r in region:
+        in_region[r] = 1
     for y in region:  # grows while it is walked
         for x, _ in pred[y]:
             if parent[x] == y and not in_region[x]:
@@ -268,30 +279,7 @@ def _repair(g, pi, bound, pot, parent, roots, deadline):
             parent[x] = arg
             heap.append((pot[x] - best) * n + x)
     heapify(heap)
-    # the search of _dijkstra, confined to the region
-    pops = 0
-    while heap:
-        item = heappop(heap)
-        if deadline is not None:
-            pops += 1
-            if pops % DEADLINE_STRIDE == 0:
-                deadline()
-        y = item % n
-        dy = d[y]
-        if item != (pot[y] - dy) * n + y:
-            continue
-        for x, w in pred[y]:
-            if not in_region[x]:
-                continue
-            if is_min[x] and pi[x] != y:
-                continue
-            cand = dy + w
-            if cand < -bound:
-                continue
-            if cand > d[x]:
-                d[x] = cand
-                parent[x] = y
-                heappush(heap, (pot[x] - cand) * n + x)
+    _search(g, pi, bound, pot, d, parent, heap, in_region, check, deadline)
     return d, parent, [x for x in region if d[x] != pot[x]]
 
 
@@ -350,15 +338,19 @@ def _leaving(g, pi, vertices, d):
 
 def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
     """One strategy evaluation: returns (d, candidate set, parents, potentials
-    of the last pass, passes, fallen), ``fallen`` holding the vertices whose
-    value fell below ``d_prev``.
+    of the last pass, fallen), ``fallen`` holding the vertices whose value
+    fell below ``d_prev``.
 
     ``prev`` is None, or the candidate set and parents that came with
     ``d_prev`` plus the Min vertices switched since, which lets even the
-    first pass repair the forest instead of searching afresh.
+    first pass repair the forest instead of searching afresh.  Every pass
+    but the last shrinks the candidate set, so more than ``max(1, n)``
+    passes mean a broken invariant.
     """
     pred = g.pred
     is_min = g.is_min
+    if check:
+        _check_entry(g, pi, d_prev)
     if prev is None:
         B = {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}
         roots = None
@@ -366,11 +358,10 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         # the previous evaluation ended with d = 0 exactly on prev_b, every
         # prev_b vertex keeping a non-negative restricted edge; a switched
         # vertex gave its edge up for a negative one
-        prev_b, parent, switched = prev
-        B = prev_b.difference(switched)
+        prev_b, parent, roots = prev
+        B = prev_b.difference(roots)
         if check and B != {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}:
             raise InvariantViolation("candidate set differs from a full scan")
-        roots = switched
     fallen = set()
     pot = d_prev
     passes = 0
@@ -378,12 +369,14 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         if deadline is not None:
             deadline()
         passes += 1
+        if passes > max(1, g.n):
+            raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {g.n} vertices")
         if roots is None:
             d, parent = _dijkstra(g, pi, bound, B, pot, check, deadline)
             drop = _leaving(g, pi, B, d)
             fallen.update(v for v in range(g.n) if d[v] != pot[v])
         else:
-            d, parent, changed = _repair(g, pi, bound, pot, parent, roots, deadline)
+            d, parent, changed = _repair(g, pi, bound, pot, parent, roots, check, deadline)
             fallen.update(changed)
             # a B vertex had a non-negative edge under pot, so it can only
             # lose it along an edge into a changed value
@@ -397,7 +390,7 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
                 if full != d or _leaving(g, pi, B, full) != drop:
                     raise InvariantViolation("incremental evaluation differs from a full search")
         if not drop:
-            return d, B, parent, pot, passes, fallen
+            return d, B, parent, pot, fallen
         B = B.difference(drop)
         pot = d
         roots = drop
@@ -464,16 +457,9 @@ def _solve(game, bound, check, time_limit):
     # d(v) is one of 0, -1, ..., -bound, -inf
     max_main = n * (bound + 1) + 1
     deadline = deadline_after(time_limit)
-    iteration = 0
-    while True:
-        if check:
-            _check_entry(g, pi, d_prev)
+    for iteration in range(max_main):
         strategies.append(_snapshot(pi))
-        d, candidates, parents, pot, passes, fallen = _evaluate(
-            g, pi, bound, d_prev, check, prev, deadline
-        )
-        if passes > max(1, n):
-            raise InvariantViolation(f"evaluation ran {passes} passes on {n} vertices")
+        d, candidates, parents, pot, fallen = _evaluate(g, pi, bound, d_prev, check, prev, deadline)
         # check mode's full searches have already found d <= d_prev
         if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
             raise InvariantViolation("fallen set differs from a full scan")
@@ -487,9 +473,6 @@ def _solve(game, bound, check, time_limit):
         # kept their values still passes the previous test: its own value
         # can only have fallen, and a switched vertex fell to its new edge.
         tested = range(n) if iteration == 0 else {x for y in fallen for x, _ in pred[y] if is_min[x]}
-        iteration += 1
-        if iteration > max_main:
-            raise InvariantViolation(f"main loop exceeded {max_main} iterations")
         full = check and sorted(_improve(g, list(pi), d, range(n)))
         switched = _improve(g, pi, d, tested)
         if check and full != sorted(switched):
@@ -498,6 +481,8 @@ def _solve(game, bound, check, time_limit):
             break
         prev = (candidates, parents, switched)
         d_prev = d
+    else:
+        raise InvariantViolation(f"main loop needs more than {max_main} iterations")
 
     # the forest of a full search on the last pass's input, see module docstring
     full, parents = _dijkstra(g, pi, bound, candidates, pot, check, deadline)
@@ -507,7 +492,6 @@ def _solve(game, bound, check, time_limit):
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
         max_strategy=_extract_max_strategy(g, d, candidates, parents),
         min_witness=MinWitness(strategies=strategies, death_index=death),
-        iterations=iteration,
         final_d=d,
     )
 
@@ -562,13 +546,7 @@ def evaluate_strategy(
     the one-player restriction to the still-winnable vertices."""
     g = _Prepared(game)
     pi = _initial_pi(game, strategy)
-    d_prev = list(d_prev)
-    if check:
-        _check_entry(g, pi, d_prev)
-    d, _, _, _, passes, _ = _evaluate(g, pi, check_bound(bound), d_prev, check)
-    if passes > max(1, g.n):
-        raise InvariantViolation(f"evaluation ran {passes} passes on {g.n} vertices")
-    return d
+    return _evaluate(g, pi, check_bound(bound), list(d_prev), check)[0]
 
 
 def improve_strategy(

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from mpgsolve import generate, memory_game, render_game
+from mpgsolve import generate, memory_game, render_game, two_vertex_duel
 from mpgsolve.cli import main
 
 
@@ -84,6 +84,16 @@ class TestSolve:
             assert main(["solve", "--algorithm", "vi", "--problem", "lb", str(path)]) == 2
             captured = capsys.readouterr()
             assert "64-bit envelope" in captured.err
+            assert captured.out == ""
+
+    def test_kasi_only_flags_with_vi_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "duel.mpg"
+        path.write_text(render_game(two_vertex_duel()))
+        for flag in (["--check"], ["--emit-strategy", str(tmp_path / "s")],
+                     ["--emit-witness", str(tmp_path / "w")]):
+            assert main(["solve", "--algorithm", "vi", *flag, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert "need --algorithm kasi" in captured.err
             assert captured.out == ""
 
     def test_kasi_and_vi_agree_on_files(self, tmp_path, capsys):

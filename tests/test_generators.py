@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mpgsolve import (
@@ -7,6 +9,7 @@ from mpgsolve import (
     generate,
     oracle_lb,
     oracle_lwub,
+    render_game,
     validate,
 )
 
@@ -116,6 +119,30 @@ class TestModels:
     def test_unknown_family(self):
         with pytest.raises(InvalidSpec):
             generate(GenSpec(family="nope"))
+
+
+class TestPinnedBytes:
+    """One game per family, byte for byte: SHA-256 digests of the rendered
+    game, recorded before the fixed collect and taxi weights became module
+    constants."""
+
+    @pytest.mark.parametrize("spec, want", [
+        (GenSpec(family="sprand", seed=3, n=40, edge_factor=2.5, weight_lo=-9, weight_hi=9, shift=1),
+         "1718e7776178f3c0e2ea1647dc8095b7917cd2c29350e2aa3f8e9d18fbff291b"),
+        (GenSpec(family="torus", seed=4, rows=5, cols=6, added_cycles=2, cycle_len=5,
+                 weight_lo=-5, weight_hi=5),
+         "1eb986d2289c7ca3b94d84a7cb0a9c4187163e24aee8d2a8921f21cf17b6ec1f"),
+        (GenSpec(family="layered", seed=5, layers=4, width=5, added_cycles=1, weight_lo=-4, weight_hi=6),
+         "2c4dba17771de37eb54377cf63de87ffc0f14116339fc86e1c45ee3fd0e4d1d5"),
+        (GenSpec(family="collect", seed=6, grid=3, docks=2, phases=2),
+         "9492388fd5845c70e8bb401f2101049337961136a5606daa556c5788f2c49705"),
+        (GenSpec(family="supply", seed=7, sites=3, max_request=2, refill=3),
+         "fd8ba629a754c62803c48764bd9c5f42d201288723a9572e4ac51e8c21db0731"),
+        (GenSpec(family="taxi", seed=8, zones=4, margin=1),
+         "3292539140145b95773b85c29e6f7f3bd0708bf94cbdb5380d065f1a50016cdc"),
+    ], ids=lambda x: x.family if isinstance(x, GenSpec) else "")
+    def test_rendered_game(self, spec, want):
+        assert hashlib.sha256(render_game(generate(spec)).encode()).hexdigest() == want
 
 
 class TestBalancingShift:
