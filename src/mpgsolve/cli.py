@@ -67,7 +67,7 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     # the gen flags are named after the GenSpec fields they set
-    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec) if hasattr(args, f.name)})
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)})
     graph = generate(spec)
     _write_output(args.output, formats.render_game(graph))
     return 0
@@ -130,6 +130,10 @@ def cmd_verify(args) -> int:
         raise InvalidSpec(f"--n-max must be >= 1, got {args.n_max}")
     if args.bound_max < 0:
         raise InvalidSpec(f"--bound-max must be >= 0, got {args.bound_max}")
+    if args.w_max < 0:
+        raise InvalidSpec(f"--w-max must be >= 0, got {args.w_max}")
+    if args.trials < 0:
+        raise InvalidSpec(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     budget = args.budget
     for trial in range(args.trials):
@@ -174,26 +178,8 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--edge-factor", type=float, default=2.0)
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--layers", type=int, default=0)
-    p.add_argument("--width", type=int, default=0)
-    p.add_argument("--added-cycles", type=int, default=0)
-    p.add_argument("--cycle-len", type=int, default=8)
-    p.add_argument("--weight-lo", type=int, default=1)
-    p.add_argument("--weight-hi", type=int, default=10000)
-    p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--grid", type=int, default=3)
-    p.add_argument("--docks", type=int, default=1)
-    p.add_argument("--phases", type=int, default=2)
-    p.add_argument("--sites", type=int, default=2)
-    p.add_argument("--max-request", type=int, default=2)
-    p.add_argument("--refill", type=int, default=3)
-    p.add_argument("--zones", type=int, default=3)
-    p.add_argument("--margin", type=int, default=1)
+    for f in fields(GenSpec)[1:]:  # family, the one field without a default, is first
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 

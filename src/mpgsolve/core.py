@@ -201,9 +201,12 @@ def reduction_bound(graph: GameGraph) -> int:
 
 def deadline_after(time_limit: float | None):
     """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
-    passed from now, or None without a limit."""
+    passed from now, or None without a limit.  A NaN limit would never
+    expire, so it raises InvalidSpec."""
     if time_limit is None:
         return None
+    if time_limit != time_limit:
+        raise InvalidSpec("time limit must be a number, got nan")
     at = time.perf_counter() + time_limit
 
     def expire():

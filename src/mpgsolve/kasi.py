@@ -25,25 +25,31 @@ values only fall, so a vertex whose longest-path forest path avoids every
 *root* keeps that path and its value; the roots are the vertices that just
 left ``B`` and, in the first pass after an improvement, the Min vertices
 that switched.  Each later pass therefore resets the forest subtrees below
-the roots and reruns the same search on them alone, and then tests for
-leaving ``B`` only those ``B`` vertices with an edge into a changed value.
-There is one search, :func:`_search`, with two seedings: a full search
-(:func:`_dijkstra`) starts from ``B`` and opens every vertex not yet known
-losing, a repair (:func:`_repair`) opens the reset subtrees alone and
-starts from their edges into the untouched part.  Ties may leave the
-repaired forest differing from a full search's, so once the loop ends one
-full search on the final ``B``, with the last pass's potentials, rebuilds
-the very forest Max's strategy is read from.  With ``check=True`` every
-repaired pass is compared with a full search.
+the roots and reruns the same search on them alone.  There is one search,
+:func:`_search`, with two seedings: a full search (:func:`_dijkstra`)
+starts from ``B`` and opens every vertex not yet known losing, a repair
+(:func:`_repair`) opens the reset subtrees alone and starts from their
+edges into the untouched part.  Ties may leave the repaired forest
+differing from a full search's, so once the loop ends one full search on
+the final ``B``, with the last pass's potentials, rebuilds the very forest
+Max's strategy is read from.  With ``check=True`` every repaired pass is
+compared with a full search.
 
-Outside the searches an iteration reads only the vertices whose value fell,
-which the repairs report.  After an improvement ``B`` is the previous ``B``
-minus the switched vertices: only ``B`` has ``d = 0``, and only a switch
-gives up a non-negative edge.  From the second improvement on, only a Min
-vertex with an edge into a fallen value is tested for switching, and the
-descent check and the death index read the fallen set alone; with
-``check=True`` each is compared with the full scan it replaces.  A heap
-entry is the integer ``key * n + v``, which orders as ``(key, v)`` does.
+Outside the searches nothing stores ``B``: it is read off ``d``.  A pass
+gives its targets 0 and every other vertex a negative value, since a vertex
+outside ``B`` has no non-negative restricted edge left.  A ``B`` vertex had
+one under the values the pass started from, so it can only lose it along a
+restricted edge into a changed value, and one leave test serves every pass,
+the full first one too: only the ``B`` vertices with such an edge are
+tested.  After an improvement ``B`` is the previous ``B`` minus the
+switched vertices, as only a switch gives up a non-negative edge.  An
+iteration reads only the vertices whose value fell, which the passes
+report.  From the second improvement on, only a Min vertex with an edge
+into a fallen value is tested for switching, and the descent check and the
+death index read the fallen set alone.  With ``check=True`` the entry
+``B``, every pass's leave test and each of these is compared with the full
+scan it replaces.  A heap entry is the integer ``key * n + v``, which
+orders as ``(key, v)`` does.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially first.  Each public
@@ -143,17 +149,19 @@ class _Prepared:
 
 
 def _residual(g, pi, v, d):
-    """Largest ``w + d(u)`` over the strategy-restricted out-edges of v."""
+    """``(best, u)``: the largest ``w + d(u)`` over the strategy-restricted
+    out-edges ``(v, u)`` of ``v``, and the first ``u`` reaching it
+    (``(-inf, -1)`` when none does)."""
     succ = g.succ[v]
     if succ is not None:
         u = pi[v]
-        return succ[u] + d[u]
-    best = NEG_INF
+        return succ[u] + d[u], u
+    best, arg = NEG_INF, -1
     for u, w in g.out[v]:
         t = w + d[u]
         if t > best:
-            best = t
-    return best
+            best, arg = t, u
+    return best, arg
 
 
 def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
@@ -241,8 +249,6 @@ def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     it.
     """
     pred = g.pred
-    succ_of = g.succ
-    out = g.out
     n = g.n
     d = list(pot)
     parent = list(parent)
@@ -264,16 +270,7 @@ def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     # already holds its seed (a lower bound on its value), others -inf
     heap = []
     for x in region:
-        succ = succ_of[x]
-        if succ is not None:
-            u = pi[x]
-            best, arg = d[u] + succ[u], u
-        else:
-            best, arg = NEG_INF, -1
-            for u, w in out[x]:
-                cand = d[u] + w
-                if cand > best:
-                    best, arg = cand, u
+        best, arg = _residual(g, pi, x, d)
         if best >= -bound:
             d[x] = best
             parent[x] = arg
@@ -330,37 +327,28 @@ def _check_entry(g, pi, d_prev):
             raise PreconditionViolated("i", "restriction contains a non-negative cycle")
 
 
-def _leaving(g, pi, vertices, d):
-    """The vertices among ``vertices`` (of B) left without a non-negative
-    restricted out-edge under ``d``."""
-    return {v for v in vertices if _residual(g, pi, v, d) < 0}
-
-
 def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
-    """One strategy evaluation: returns (d, candidate set, parents, potentials
-    of the last pass, fallen), ``fallen`` holding the vertices whose value
-    fell below ``d_prev``.
+    """One strategy evaluation: returns ``(d, parents, pot, fallen)``, the
+    values and forest of the last pass, that pass's potentials, and the
+    vertices whose value fell below ``d_prev``.  ``B`` ends as the vertices
+    with ``d = 0``.
 
-    ``prev`` is None, or the candidate set and parents that came with
-    ``d_prev`` plus the Min vertices switched since, which lets even the
-    first pass repair the forest instead of searching afresh.  Every pass
-    but the last shrinks the candidate set, so more than ``max(1, n)``
-    passes mean a broken invariant.
+    ``prev`` is None, or the parents that came with ``d_prev`` plus the Min
+    vertices switched since, which lets even the first pass repair the
+    forest instead of searching afresh.  Every pass but the last shrinks
+    ``B``, so more than ``max(1, n)`` passes mean a broken invariant.
     """
-    pred = g.pred
-    is_min = g.is_min
+    n, pred, is_min = g.n, g.pred, g.is_min
+    parent, roots = prev or (None, None)
+    if roots is None or check:
+        # B at entry: the vertices at 0 that keep a non-negative restricted edge
+        targets = [v for v in range(n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev)[0] >= 0]
     if check:
         _check_entry(g, pi, d_prev)
-    if prev is None:
-        B = {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}
-        roots = None
-    else:
-        # the previous evaluation ended with d = 0 exactly on prev_b, every
-        # prev_b vertex keeping a non-negative restricted edge; a switched
-        # vertex gave its edge up for a negative one
-        prev_b, parent, roots = prev
-        B = prev_b.difference(roots)
-        if check and B != {v for v in range(g.n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev) >= 0}:
+        ref = set(targets)  # check mode's own B, shrunk by each drop set
+        # after an improvement, B is the previous B (d_prev = 0) minus the
+        # switched vertices, which gave a non-negative edge up
+        if roots is not None and ref != {v for v in range(n) if d_prev[v] == 0}.difference(roots):
             raise InvariantViolation("candidate set differs from a full scan")
     fallen = set()
     pot = d_prev
@@ -369,29 +357,32 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         if deadline is not None:
             deadline()
         passes += 1
-        if passes > max(1, g.n):
-            raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {g.n} vertices")
+        if passes > max(1, n):
+            raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
         if roots is None:
-            d, parent = _dijkstra(g, pi, bound, B, pot, check, deadline)
-            drop = _leaving(g, pi, B, d)
-            fallen.update(v for v in range(g.n) if d[v] != pot[v])
+            d, parent = _dijkstra(g, pi, bound, targets, pot, check, deadline)
+            changed = [v for v in range(n) if d[v] != pot[v]]
         else:
             d, parent, changed = _repair(g, pi, bound, pot, parent, roots, check, deadline)
-            fallen.update(changed)
-            # a B vertex had a non-negative edge under pot, so it can only
-            # lose it along an edge into a changed value
-            near = {
-                x for y in changed for x, _ in pred[y]
-                if x in B and (not is_min[x] or pi[x] == y)
-            }
-            drop = _leaving(g, pi, near, d)
-            if check:
-                full, _ = _dijkstra(g, pi, bound, B, pot, check)
-                if full != d or _leaving(g, pi, B, full) != drop:
-                    raise InvariantViolation("incremental evaluation differs from a full search")
+        fallen.update(changed)
+        # the leave test (see the module docstring): a vertex at 0 whose
+        # restricted edge into a changed value turned negative leaves B when
+        # no restricted edge of it stays non-negative
+        drop = {
+            x for y in changed for x, w in pred[y]
+            if d[x] == 0 and d[y] + w < 0
+            and (pi[x] == y if is_min[x] else _residual(g, pi, x, d)[0] < 0)
+        }
+        if check:
+            if roots is not None and _dijkstra(g, pi, bound, ref, pot, check)[0] != d:
+                raise InvariantViolation("incremental evaluation differs from a full search")
+            if ref != {v for v in range(n) if d[v] == 0}:
+                raise InvariantViolation("the vertices at 0 differ from B")
+            if drop != {v for v in ref if _residual(g, pi, v, d)[0] < 0}:
+                raise InvariantViolation("leave test differs from a full scan")
+            ref -= drop
         if not drop:
-            return d, B, parent, pot, fallen
-        B = B.difference(drop)
+            return d, parent, pot, fallen
         pot = d
         roots = drop
 
@@ -459,7 +450,7 @@ def _solve(game, bound, check, time_limit):
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
         strategies.append(_snapshot(pi))
-        d, candidates, parents, pot, fallen = _evaluate(g, pi, bound, d_prev, check, prev, deadline)
+        d, parents, pot, fallen = _evaluate(g, pi, bound, d_prev, check, prev, deadline)
         # check mode's full searches have already found d <= d_prev
         if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
             raise InvariantViolation("fallen set differs from a full scan")
@@ -479,18 +470,18 @@ def _solve(game, bound, check, time_limit):
             raise InvariantViolation("restricted improvement differs from a full scan")
         if not switched:
             break
-        prev = (candidates, parents, switched)
+        prev = (parents, switched)
         d_prev = d
     else:
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
 
     # the forest of a full search on the last pass's input, see module docstring
-    full, parents = _dijkstra(g, pi, bound, candidates, pot, check, deadline)
+    full, parents = _dijkstra(g, pi, bound, [v for v in range(n) if d[v] == 0], pot, check, deadline)
     if check and full != d:
         raise InvariantViolation("final full search differs from the evaluation")
     return SolveResult(
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
-        max_strategy=_extract_max_strategy(g, d, candidates, parents),
+        max_strategy=_extract_max_strategy(g, d, parents),
         min_witness=MinWitness(strategies=strategies, death_index=death),
         final_d=d,
     )
@@ -561,13 +552,13 @@ def improve_strategy(
     return _snapshot(pi), bool(switched)
 
 
-def _extract_max_strategy(g, d, candidates, parents) -> PositionalStrategy:
+def _extract_max_strategy(g, d, parents) -> PositionalStrategy:
     """Read Max's optimal positional strategy off the final evaluation state.
 
-    Vertices in the final candidate set follow any edge that is non-negative
-    under the potential transformation (first such edge in adjacency order);
-    other winnable vertices follow their longest-path forest parent; losing
-    vertices take their first edge, the choice being irrelevant.
+    Vertices in the final ``B``, those with ``d = 0``, follow the first edge
+    in adjacency order with ``w + d(u) >= 0``; other winnable vertices
+    follow their longest-path forest parent; losing vertices take their
+    first edge, the choice being irrelevant.
     """
     choice: dict[int, int] = {}
     for v in range(g.n):
@@ -576,13 +567,13 @@ def _extract_max_strategy(g, d, candidates, parents) -> PositionalStrategy:
         dv = d[v]
         if dv == NEG_INF:
             choice[v] = g.out[v][0][0]
-        elif v in candidates:
+        elif dv == 0:
             for u, w in g.out[v]:
-                if w - dv + d[u] >= 0:
+                if w + d[u] >= 0:
                     choice[v] = u
                     break
             else:
-                raise InvariantViolation(f"candidate vertex {v} kept no non-negative edge")
+                raise InvariantViolation(f"vertex {v} at 0 kept no non-negative edge")
         else:
             p = parents[v]
             if p < 0:

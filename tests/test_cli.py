@@ -1,7 +1,8 @@
+from dataclasses import fields
 from pathlib import Path
 
-from mpgsolve import generate, memory_game, render_game, two_vertex_duel
-from mpgsolve.cli import main
+from mpgsolve import GenSpec, generate, memory_game, render_game, two_vertex_duel
+from mpgsolve.cli import build_parser, main
 
 
 def write_memory_game(tmp_path: Path) -> Path:
@@ -96,6 +97,15 @@ class TestSolve:
             assert "need --algorithm kasi" in captured.err
             assert captured.out == ""
 
+    def test_nan_time_limit_exits_2(self, tmp_path, capsys):
+        # perf_counter() > nan is always false, so such a limit would never expire
+        path = write_memory_game(tmp_path)
+        for algorithm in ("kasi", "vi"):
+            assert main(["solve", "--algorithm", algorithm, "--time-limit", "nan", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert "time limit must be a number, got nan" in captured.err
+            assert captured.out == ""
+
     def test_kasi_and_vi_agree_on_files(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         outs = []
@@ -129,6 +139,10 @@ class TestGen:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_flags_default_to_the_genspec_defaults(self):
+        args = build_parser().parse_args(["gen", "--family", "sprand"])
+        assert GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)}) == GenSpec("sprand")
 
     def test_bad_spec_exits_2(self, capsys):
         assert main(["gen", "--family", "sprand", "--n", "4", "--edge-factor", "0.1"]) == 2
@@ -170,3 +184,10 @@ class TestVerify:
         assert "--n-max must be >= 1, got 0" in capsys.readouterr().err
         assert main(["verify", "--bound-max", "-1"]) == 2
         assert "--bound-max must be >= 0, got -1" in capsys.readouterr().err
+        for seed in range(8):  # whether or not a weighted family is drawn
+            assert main(["verify", "--w-max", "-3", "--trials", "1", "--seed", str(seed)]) == 2
+            assert "--w-max must be >= 0, got -3" in capsys.readouterr().err
+        assert main(["verify", "--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "--trials must be >= 0, got -5" in captured.err
+        assert captured.out == ""

@@ -405,13 +405,13 @@ class TestPinnedOutputs:
 
 
 class TestHeapPops:
-    """Heap pops of three pinned games, counted with a patched ``heappop``.
-    They show that a change did the same search work, and that the searches
-    depend on nothing but their inputs: ``_repair`` seeds its region in a
-    fixed order."""
+    """Heap pops of four pinned solves, counted with a patched ``heappop``.
+    They show that a change did the same search work, for both problems, and
+    that the searches depend on nothing but their inputs: ``_repair`` seeds
+    its region in a fixed order."""
 
-    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 9006), (_TORUS, 4681), (_PARALLEL, 625)])
-    def test_pop_counts(self, monkeypatch, spec, want):
+    @staticmethod
+    def pops(monkeypatch, solve, game):
         pops = 0
 
         def counting_pop(heap):
@@ -419,10 +419,16 @@ class TestHeapPops:
             pops += 1
             return heapq.heappop(heap)
 
-        game = generate(spec)
         monkeypatch.setattr(kasi, "heappop", counting_pop)
-        solve_lb(game)
-        assert pops == want
+        solve(game)
+        return pops
+
+    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 9006), (_TORUS, 4681), (_PARALLEL, 625)])
+    def test_pop_counts(self, monkeypatch, spec, want):
+        assert self.pops(monkeypatch, solve_lb, generate(spec)) == want
+
+    def test_lwub_pop_count(self, monkeypatch):
+        assert self.pops(monkeypatch, lambda g: solve_lwub(g, 20), generate(_C11_SHAPE)) == 6635
 
 
 class TestStrategyChecks:
