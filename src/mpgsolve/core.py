@@ -69,9 +69,12 @@ class GameGraph:
     Parallel edges and self-loops are permitted.  The constructor converts
     nothing: it stores the count, the owners and the edges as given, builds
     the adjacency lists and runs :func:`validate`, so every graph that
-    exists passes it and no solver checks a graph again.  The adjacency
-    lists stay plain lists for speed, and nothing may write to a graph
-    after construction: a write would bypass the only check.
+    exists passes it and no solver checks a graph again.
+    ``out_adjacency[u]`` lists a ``(v, w)`` pair per edge ``(u, v, w)``;
+    ``in_adjacency[v]`` lists the very triples of ``edges`` whose head is
+    ``v``, so an edge costs one triple and one pair.  Both keep input order.
+    The adjacency lists stay plain lists for speed, and nothing may write
+    to a graph after construction: a write would bypass the only check.
     """
 
     __slots__ = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency")
@@ -81,14 +84,15 @@ class GameGraph:
         self.owners = tuple(owners)
         self.edges = tuple(map(tuple, edges))
         out: list[list[tuple[int, int]]] = []
-        inc: list[list[tuple[int, int]]] = []
+        inc: list[list[tuple[int, int, int]]] = []
         try:
             out = [[] for _ in range(n)]
             inc = [[] for _ in range(n)]
-            for u, v, w in self.edges:
+            for e in self.edges:
+                u, v, w = e
                 if 0 <= u < n and 0 <= v < n:
                     out[u].append((v, w))
-                    inc[v].append((u, w))
+                    inc[v].append(e)
         except (TypeError, ValueError):
             pass  # a field of the wrong type or shape, which validate names
         self.out_adjacency = out

@@ -121,10 +121,12 @@ class _Prepared:
 
     ``out`` is the game's own out-adjacency.  ``succ[v]`` maps each target
     of a Min vertex to her lightest parallel weight and is None at Max
-    vertices.  ``pred[u]`` lists ``(v, w)`` for each of Max's edges into
-    ``u`` and for each Min vertex ``v`` with ``u`` in ``succ[v]``.  It is
-    the game's in-adjacency, with new lists only where a Min vertex has
-    parallel edges; nothing writes to it.
+    vertices.  ``pred[u]`` lists a triple ``(v, u, w)`` for each of Max's
+    edges into ``u`` and for each Min vertex ``v`` with ``u`` in
+    ``succ[v]``.  It is the game's in-adjacency, whose entries are the
+    game's own edge triples; only where a Min vertex has parallel edges is
+    there a new list, holding one new triple with her lightest weight.
+    Nothing writes to it.
     """
 
     __slots__ = ("n", "is_min", "out", "succ", "pred")
@@ -145,7 +147,7 @@ class _Prepared:
                     if w < table[u]:
                         table[u] = w
                 for u, w in table.items():
-                    pred[u] = [e for e in pred[u] if e[0] != v] + [(v, w)]
+                    pred[u] = [e for e in pred[u] if e[0] != v] + [(v, u, w)]
 
 
 def _residual(g, pi, v, d):
@@ -186,7 +188,7 @@ def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
         dy = d[y]
         if item != (pot[y] - dy) * n + y:
             continue  # stale heap entry (lazy deletion)
-        for x, w in pred[y]:
+        for x, _, w in pred[y]:
             if not opened[x]:
                 continue
             if is_min[x] and pi[x] != y:
@@ -258,7 +260,7 @@ def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     for r in region:
         in_region[r] = 1
     for y in region:  # grows while it is walked
-        for x, _ in pred[y]:
+        for x, _, _ in pred[y]:
             if parent[x] == y and not in_region[x]:
                 in_region[x] = 1
                 region.append(x)
@@ -369,7 +371,7 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative
         drop = {
-            x for y in changed for x, w in pred[y]
+            x for y in changed for x, _, w in pred[y]
             if d[x] == 0 and d[y] + w < 0
             and (pi[x] == y if is_min[x] else _residual(g, pi, x, d)[0] < 0)
         }
@@ -463,7 +465,7 @@ def _solve(game, bound, check, time_limit):
         # From the second improvement on, a Min vertex whose successors all
         # kept their values still passes the previous test: its own value
         # can only have fallen, and a switched vertex fell to its new edge.
-        tested = range(n) if iteration == 0 else {x for y in fallen for x, _ in pred[y] if is_min[x]}
+        tested = range(n) if iteration == 0 else {x for y in fallen for x, _, _ in pred[y] if is_min[x]}
         full = check and sorted(_improve(g, list(pi), d, range(n)))
         switched = _improve(g, pi, d, tested)
         if check and full != sorted(switched):
@@ -525,6 +527,15 @@ def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ..
     return nonneg, neg
 
 
+def _vector(game, values, name):
+    """``values`` as a list, once checked to hold one entry per vertex;
+    raises InvalidSpec."""
+    values = list(values)
+    if len(values) != game.vertex_count:
+        raise InvalidSpec(f"{name} has {len(values)} entries for {game.vertex_count} vertices")
+    return values
+
+
 def evaluate_strategy(
     game: GameGraph,
     bound: int,
@@ -534,10 +545,12 @@ def evaluate_strategy(
     check: bool = False,
 ) -> list:
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
-    the one-player restriction to the still-winnable vertices."""
+    the one-player restriction to the still-winnable vertices.  ``d_prev``
+    needs one entry per vertex."""
+    d_prev = _vector(game, d_prev, "d_prev")
     g = _Prepared(game)
     pi = _initial_pi(game, strategy)
-    return _evaluate(g, pi, check_bound(bound), list(d_prev), check)[0]
+    return _evaluate(g, pi, check_bound(bound), d_prev, check)[0]
 
 
 def improve_strategy(
@@ -545,10 +558,12 @@ def improve_strategy(
     d: Sequence,
     strategy: PositionalStrategy,
 ) -> tuple[PositionalStrategy, bool]:
-    """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min strategy."""
+    """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min
+    strategy.  ``d`` needs one entry per vertex."""
+    d = _vector(game, d, "d")
     g = _Prepared(game)
     pi = _initial_pi(game, strategy)
-    switched = _improve(g, pi, list(d), range(g.n))
+    switched = _improve(g, pi, d, range(g.n))
     return _snapshot(pi), bool(switched)
 
 

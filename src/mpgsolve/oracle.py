@@ -72,7 +72,7 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
         sid = queue[head]
         head += 1
         u, e2 = divmod(sid, width)
-        for v, w in inc[u]:
+        for v, _, w in inc[u]:
             base = v * width
             # which source energies reach (u, e2) over this edge, given clamping
             if e2 == bound:

@@ -80,7 +80,7 @@ def vi_step(game: GameGraph, bound: int, state: ViState) -> ViState:
             grew.append(v)
     dirty = set()
     for v in grew:
-        for u, _ in inc[v]:
+        for u, _, _ in inc[v]:
             dirty.add(u)
     return ViState(d=new_d, dirty=dirty)
 
@@ -124,7 +124,7 @@ def vi_solve(
             deadline()
         old = told[v]
         new = told[v] = d[v]
-        for p, w in inc[v]:
+        for p, _, w in inc[v]:
             x = new - w
             dp = d[p]
             if x <= dp:  # also when d[p] is infinity, which is final

@@ -22,6 +22,7 @@ from mpgsolve import (
     validate,
     vi_solve,
 )
+from mpgsolve import GenSpec, generate, kasi, parse_game, render_game
 from mpgsolve.core import SUBGAME_SELF_LOOP_WEIGHT
 from conftest import random_game
 
@@ -172,6 +173,51 @@ class TestInducedSubgame:
     def test_empty_keep_set(self):
         with pytest.raises(EmptyKeepSet):
             induced_subgame(chain_abc(), [])
+
+
+class TestAdjacencyLayout:
+    """``in_adjacency`` holds the game's own edge triples, one per edge in
+    input order, and so do the solver's predecessor lists wherever the tail
+    is Max's."""
+
+    @staticmethod
+    def games():
+        parallel = generate(GenSpec(family="sprand", n=300, edge_factor=8.0, seed=2,
+                                    weight_lo=-6, weight_hi=6))
+        pairs = [(u, v) for u, v, _ in parallel.edges]
+        assert len(set(pairs)) < len(pairs)  # the game has parallel edges
+        torus = generate(GenSpec(family="torus", rows=6, cols=7, seed=1, weight_lo=-5, weight_hi=5))
+        return [parse_game(render_game(torus)), parallel, induced_subgame(parallel, range(0, 300, 3))]
+
+    @staticmethod
+    def assert_same_objects(got, want):
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_in_adjacency_lists_the_edge_triples(self):
+        for g in self.games():
+            heads = [[] for _ in range(g.vertex_count)]
+            for e in g.edges:
+                heads[e[1]].append(e)
+            for v in range(g.vertex_count):
+                self.assert_same_objects(g.in_adjacency[v], heads[v])
+
+    def test_predecessors_of_max_are_the_edge_triples(self):
+        for g in self.games():
+            prepared = kasi._Prepared(g)
+            for u in range(g.vertex_count):
+                pred = prepared.pred[u]
+                self.assert_same_objects(
+                    [e for e in pred if g.owners[e[0]] is Owner.MAX],
+                    [e for e in g.in_adjacency[u] if g.owners[e[0]] is Owner.MAX],
+                )
+                # a Min tail appears once, with her lightest parallel weight
+                lightest = {}
+                for v, _, w in g.in_adjacency[u]:
+                    if g.owners[v] is Owner.MIN:
+                        lightest[v] = min(w, lightest.get(v, w))
+                mins = [e for e in pred if g.owners[e[0]] is Owner.MIN]
+                assert sorted(mins) == sorted((v, u, w) for v, w in lightest.items())
 
 
 class TestWeights:

@@ -112,6 +112,23 @@ class TestEvaluateStrategy:
         assert err.value.which == "i"
 
 
+class TestValueVectorLength:
+    """The public entry points that take a value vector need one entry per
+    vertex; a shorter one used to end in an IndexError, a longer one was
+    accepted."""
+
+    GAME = GameGraph(2, [MAX, MIN], [(0, 1, 0), (1, 0, -1)])
+
+    @pytest.mark.parametrize("values", [[0], [0, 0, 0]])
+    def test_wrong_length_rejected(self, values):
+        g = self.GAME
+        strategy = zero_strategy(g)
+        with pytest.raises(InvalidSpec, match=f"d_prev has {len(values)} entries for 2 vertices"):
+            evaluate_strategy(g, 5, strategy, values)
+        with pytest.raises(InvalidSpec, match=f"d has {len(values)} entries for 2 vertices"):
+            improve_strategy(g, values, strategy)
+
+
 class TestImproveStrategy:
     def test_no_switch_on_nonnegative_weights(self):
         g = GameGraph(2, [MIN, MAX], [(0, 1, 2), (0, 0, 0), (1, 1, 0)])

@@ -235,5 +235,5 @@ class TestConfluence:
                     best = INF
                 if best > d[v]:
                     d[v] = best
-                    pending.update(u for u, _ in g.in_adjacency[v])
+                    pending.update(u for u, _, _ in g.in_adjacency[v])
             assert d == want
