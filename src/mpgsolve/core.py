@@ -15,9 +15,10 @@ generation, :func:`induced_subgame` and :func:`restrict_to_strategy`)
 yields one that passes :func:`validate`, the one place that decides whether
 a game is well formed and inside the 64-bit envelope; the solvers take that
 for granted.  :func:`reduction_bound` is the one place that derives the lb
-reduction bound and checks its envelope.  Graphs must not be written to
-after construction and are safe to share between solver runs; strategies
-and vectors are independent values.
+reduction bound and checks its envelope.  A graph's edges, adjacency rows
+and outer adjacency sequences are tuples, so a write into them raises; its
+attributes must not be rebound.  Graphs are safe to share between solver
+runs; strategies and vectors are independent values.
 """
 
 from __future__ import annotations
@@ -67,14 +68,19 @@ class GameGraph:
     """Finite weighted digraph with per-vertex ownership, valid by construction.
 
     Parallel edges and self-loops are permitted.  The constructor converts
-    nothing: it stores the count, the owners and the edges as given, builds
-    the adjacency lists and runs :func:`validate`, so every graph that
+    no field: it stores the count, the owners and the edges as given, builds
+    the adjacency rows and runs :func:`validate`, so every graph that
     exists passes it and no solver checks a graph again.
-    ``out_adjacency[u]`` lists a ``(v, w)`` pair per edge ``(u, v, w)``;
-    ``in_adjacency[v]`` lists the very triples of ``edges`` whose head is
+    ``out_adjacency[u]`` holds a ``(v, w)`` pair per edge ``(u, v, w)``;
+    ``in_adjacency[v]`` holds the very triples of ``edges`` whose head is
     ``v``, so an edge costs one triple and one pair.  Both keep input order.
-    The adjacency lists stay plain lists for speed, and nothing may write
-    to a graph after construction: a write would bypass the only check.
+    The rows and both outer sequences are tuples, so a write into them
+    raises instead of bypassing the only check; the attributes themselves
+    are not to be rebound.  Parsing, the ``sprand``, ``torus`` and
+    ``layered`` generators and :func:`induced_subgame` take every vertex id
+    from one ``list(range(n))``, so each id is one int object however many
+    edges name it; that saves memory only above 256 vertices, since CPython
+    already caches smaller ints.
     """
 
     __slots__ = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency")
@@ -83,20 +89,18 @@ class GameGraph:
         self.vertex_count = n = vertex_count
         self.owners = tuple(owners)
         self.edges = tuple(map(tuple, edges))
-        out: list[list[tuple[int, int]]] = []
-        inc: list[list[tuple[int, int, int]]] = []
+        out = inc = ()
         try:
             out = [[] for _ in range(n)]
             inc = [[] for _ in range(n)]
             for e in self.edges:
-                u, v, w = e
-                if 0 <= u < n and 0 <= v < n:
-                    out[u].append((v, w))
-                    inc[v].append(e)
-        except (TypeError, ValueError):
-            pass  # a field of the wrong type or shape, which validate names
-        self.out_adjacency = out
-        self.in_adjacency = inc
+                u, v, w = e  # a negative id lands in a row from the end
+                out[u].append((v, w))
+                inc[v].append(e)
+        except (TypeError, ValueError, IndexError):
+            pass  # a field of the wrong type, shape or range, which validate names
+        self.out_adjacency = tuple(map(tuple, out))
+        self.in_adjacency = tuple(map(tuple, inc))
         validate(self)
 
     def __eq__(self, other) -> bool:
@@ -167,17 +171,20 @@ def validate(graph: GameGraph) -> None:
         raise ValidationError("a game needs at least one vertex")
     if len(graph.owners) != n:
         raise ValidationError(f"{len(graph.owners)} owner entries for {n} vertices")
-    for v, o in enumerate(graph.owners):
-        if not isinstance(o, Owner):
-            raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
+    if not {*map(type, graph.owners)} <= {Owner}:
+        v, o = next((v, o) for v, o in enumerate(graph.owners) if type(o) is not Owner)
+        raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
     for e in graph.edges:
-        if len(e) != 3 or not type(e[0]) is type(e[1]) is type(e[2]) is int:
+        try:
+            u, v, w = e
+        except ValueError:
+            raise ValidationError(f"edge {e!r} is not a triple of ints") from None
+        if not type(u) is type(v) is type(w) is int:
             raise ValidationError(f"edge {e!r} is not a triple of ints")
-        u, v, _ = e
         if not (0 <= u < n and 0 <= v < n):
             raise DanglingEdge(e)
     if not all(graph.out_adjacency):
-        raise ZeroOutDegree(graph.out_adjacency.index([]))
+        raise ZeroOutDegree(graph.out_adjacency.index(()))
     out_count = sum(map(len, graph.out_adjacency))
     in_count = sum(map(len, graph.in_adjacency))
     if not (out_count == in_count == len(graph.edges)):
@@ -263,7 +270,8 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
     for v in kept:
         if not (0 <= v < n):
             raise ValidationError(f"keep set contains out-of-range vertex {v}")
-    index = {v: i for i, v in enumerate(kept)}
+    ids = list(range(len(kept)))
+    index = dict(zip(kept, ids))
     edges = [
         (index[u], index[v], w)
         for (u, v, w) in graph.edges
@@ -272,7 +280,7 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
     has_out = [False] * len(kept)
     for u, _, _ in edges:
         has_out[u] = True
-    for i in range(len(kept)):
+    for i in ids:
         if not has_out[i]:
             edges.append((i, i, SUBGAME_SELF_LOOP_WEIGHT))
     owners = tuple(graph.owners[v] for v in kept)

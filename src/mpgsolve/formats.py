@@ -58,7 +58,8 @@ def parse_game(text: str) -> GameGraph:
 def _records(text: str):
     """``(n, owners, tails, heads, weights)`` of a game text split into lines
     at LF alone, or None unless every line is a record and they make a
-    well-formed game."""
+    well-formed game.  Tails and heads are iterators over one shared int
+    object per vertex id."""
     n = m = None
     ids, owners, tails, heads, weights = [], [], [], [], []
     pos = 0
@@ -89,8 +90,10 @@ def _records(text: str):
         owners = list(map(by_id.__getitem__, range(n)))
     except (ValueError, KeyError):
         return None
-    if len(tails) == m and (not tails or 0 <= min(tails + heads) <= max(tails + heads) < n):
-        return n, owners, tails, heads, weights
+    ends = tails + heads
+    if len(tails) == m and (not ends or 0 <= min(ends) <= max(ends) < n):
+        shared = list(range(n)).__getitem__  # one int object per vertex id
+        return n, owners, map(shared, tails), map(shared, heads), weights
     return None
 
 
@@ -156,11 +159,12 @@ def _int(token: str, lineno: int) -> int:
 
 
 def render_game(graph: GameGraph) -> str:
+    """The game text, edges in ``sorted(graph.edges)`` order: by source, as
+    the out-adjacency rows are, and each row sorted."""
     lines = [f"p mpg {graph.vertex_count} {len(graph.edges)}"]
-    for v, o in enumerate(graph.owners):
-        lines.append(f"o {v} {o.value}")
-    for u, v, w in sorted(graph.edges):
-        lines.append(f"e {u} {v} {w}")
+    max_ = Owner.MAX
+    lines += [f"o {v} {'MAX' if o is max_ else 'MIN'}" for v, o in enumerate(graph.owners)]
+    lines += [f"e {u} {v} {w}" for u, row in enumerate(graph.out_adjacency) for v, w in sorted(row)]
     return "\n".join(lines) + "\n"
 
 

@@ -15,13 +15,16 @@ Generation is a pure function of the spec.  Randomness comes from the
 stdlib Mersenne Twister with one substream per phase (structure, weights,
 owners), derived as ``seed * 8 + phase``, so adding structure never
 perturbs the weights already drawn and owner assignment is independent of
-both.
+both.  The ``sprand``, ``torus`` and ``layered`` builders take their vertex
+ids from one ``list(range(n))``, so each id is one int object in the game
+they build.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .core import INF, GameGraph, Owner
 from .errors import InvalidSpec
@@ -76,10 +79,14 @@ def _rng(spec: GenSpec, phase: int) -> random.Random:
     return random.Random(spec.seed * 8 + phase)
 
 
-def _draw_weight(spec: GenSpec, rng: random.Random) -> int:
-    if spec.weight_lo > spec.weight_hi:
-        raise InvalidSpec(f"empty weight range [{spec.weight_lo}, {spec.weight_hi}]")
-    return rng.randint(spec.weight_lo, spec.weight_hi) - spec.shift
+def _weight_draw(spec: GenSpec):
+    """A callable returning the game's next weight, ``randint(weight_lo,
+    weight_hi) - shift`` on the weight substream: ``randint(a, b)`` is
+    ``randrange(a, b + 1)``, which is ``a`` plus a draw below the width."""
+    lo, hi = spec.weight_lo, spec.weight_hi
+    if lo > hi:
+        raise InvalidSpec(f"empty weight range [{lo}, {hi}]")
+    return partial(_rng(spec, _PHASE_WEIGHTS).randrange, lo - spec.shift, hi + 1 - spec.shift)
 
 
 def _draw_owners(spec: GenSpec, n: int) -> list[Owner]:
@@ -96,27 +103,29 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
         raise InvalidSpec("sprand needs a finite edge_factor >= 1")
     m = int(spec.edge_factor * n)
     structure = _rng(spec, _PHASE_STRUCTURE)
-    weights = _rng(spec, _PHASE_WEIGHTS)
-    perm = list(range(n))
+    draw = _weight_draw(spec)
+    ids = list(range(n))
+    perm = ids[:]
     structure.shuffle(perm)
     edges = []
     for i in range(n):
-        edges.append((perm[i], perm[(i + 1) % n], _draw_weight(spec, weights)))
+        edges.append((perm[i], perm[(i + 1) % n], draw()))
     for _ in range(m - n):
-        u = structure.randrange(n)
-        v = structure.randrange(n)
-        edges.append((u, v, _draw_weight(spec, weights)))
+        # choice(ids) draws as randrange(n) does
+        u = structure.choice(ids)
+        v = structure.choice(ids)
+        edges.append((u, v, draw()))
     return GameGraph(n, _draw_owners(spec, n), edges)
 
 
-def _add_cycles(spec: GenSpec, n: int, edges, structure, weights) -> None:
+def _add_cycles(spec: GenSpec, ids: list[int], edges, structure, draw) -> None:
     for _ in range(spec.added_cycles):
-        k = min(spec.cycle_len, n)
+        k = min(spec.cycle_len, len(ids))
         if k < 1:
             raise InvalidSpec("cycle_len must be >= 1")
-        cyc = structure.sample(range(n), k)
+        cyc = structure.sample(ids, k)  # the indices sample(range(n), k) draws
         for i in range(k):
-            edges.append((cyc[i], cyc[(i + 1) % k], _draw_weight(spec, weights)))
+            edges.append((cyc[i], cyc[(i + 1) % k], draw()))
 
 
 def gen_torus(spec: GenSpec) -> GameGraph:
@@ -126,14 +135,15 @@ def gen_torus(spec: GenSpec) -> GameGraph:
         raise InvalidSpec("torus needs rows >= 2 and cols >= 2")
     n = rows * cols
     structure = _rng(spec, _PHASE_STRUCTURE)
-    weights = _rng(spec, _PHASE_WEIGHTS)
+    draw = _weight_draw(spec)
+    ids = list(range(n))
     edges = []
     for r in range(rows):
         for c in range(cols):
-            v = r * cols + c
-            edges.append((v, r * cols + (c + 1) % cols, _draw_weight(spec, weights)))
-            edges.append((v, ((r + 1) % rows) * cols + c, _draw_weight(spec, weights)))
-    _add_cycles(spec, n, edges, structure, weights)
+            v = ids[r * cols + c]
+            edges.append((v, ids[r * cols + (c + 1) % cols], draw()))
+            edges.append((v, ids[((r + 1) % rows) * cols + c], draw()))
+    _add_cycles(spec, ids, edges, structure, draw)
     return GameGraph(n, _draw_owners(spec, n), edges)
 
 
@@ -145,15 +155,16 @@ def gen_layered(spec: GenSpec) -> GameGraph:
         raise InvalidSpec("layered needs layers >= 2 and width >= 1")
     n = layers * width
     structure = _rng(spec, _PHASE_STRUCTURE)
-    weights = _rng(spec, _PHASE_WEIGHTS)
+    draw = _weight_draw(spec)
+    ids = list(range(n))
     edges = []
     for l in range(layers):
         for i in range(width):
-            v = l * width + i
+            v = ids[l * width + i]
             nl = ((l + 1) % layers) * width
-            edges.append((v, nl + i, _draw_weight(spec, weights)))
-            edges.append((v, nl + (i + 1) % width, _draw_weight(spec, weights)))
-    _add_cycles(spec, n, edges, structure, weights)
+            edges.append((v, ids[nl + i], draw()))
+            edges.append((v, ids[nl + (i + 1) % width], draw()))
+    _add_cycles(spec, ids, edges, structure, draw)
     return GameGraph(n, _draw_owners(spec, n), edges)
 
 

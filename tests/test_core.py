@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mpgsolve import (
@@ -73,6 +75,24 @@ class TestValidate:
         for edge in [(0, 1), (0, 1, 1, 1)]:
             with pytest.raises(ValidationError, match="not a triple of ints"):
                 GameGraph(2, [Owner.MAX, Owner.MAX], [edge, (1, 0, 0)])
+
+    @pytest.mark.parametrize("owners, edge, error, message", [
+        ((Owner.MAX, Owner.MAX), (0, 1), ValidationError, "edge (0, 1) is not a triple of ints"),
+        ((Owner.MAX, Owner.MAX), (0, 1, 1, 1), ValidationError, "edge (0, 1, 1, 1) is not a triple of ints"),
+        ((Owner.MAX, Owner.MAX), (0, True, 3), ValidationError, "edge (0, True, 3) is not a triple of ints"),
+        ((Owner.MAX, Owner.MAX), (0, 1, 2.5), ValidationError, "edge (0, 1, 2.5) is not a triple of ints"),
+        ((Owner.MAX, "MAX"), (0, 1, 1), ValidationError,
+         "vertex 1 has owner 'MAX', expected Owner.MAX or Owner.MIN"),
+        ((Owner.MAX, Owner.MAX), (0, -1, 1), DanglingEdge,
+         "edge (0, -1, 1) has an endpoint outside the vertex range"),
+        ((Owner.MAX, Owner.MAX), (2, 0, 0), DanglingEdge,
+         "edge (2, 0, 0) has an endpoint outside the vertex range"),
+    ], ids=["length-2", "length-4", "bool", "float", "str-owner", "negative-id", "id-out-of-range"])
+    def test_each_fault_has_its_own_class_and_message(self, owners, edge, error, message):
+        with pytest.raises(ValidationError) as err:
+            GameGraph(2, owners, [(0, 1, 0), edge, (1, 0, 0)])
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_weight_envelope(self):
         # |V| * W must stay below 2**63, however the game is built
@@ -218,6 +238,50 @@ class TestAdjacencyLayout:
                         lightest[v] = min(w, lightest.get(v, w))
                 mins = [e for e in pred if g.owners[e[0]] is Owner.MIN]
                 assert sorted(mins) == sorted((v, u, w) for v, w in lightest.items())
+
+
+class TestImmutableLayout:
+    """Every adjacency row and both outer sequences are tuples, so a write
+    raises, and each vertex id is one int object wherever the game names it.
+    The games have more than 256 vertices, beyond CPython's cache of small
+    ints, which would make any two equal small ids one object anyway."""
+
+    @staticmethod
+    def games():
+        sprand = generate(GenSpec(family="sprand", n=400, edge_factor=3.0, seed=4,
+                                  weight_lo=-9, weight_hi=9))
+        torus = generate(GenSpec(family="torus", rows=20, cols=20, seed=2, added_cycles=3,
+                                 weight_lo=-5, weight_hi=5))
+        layered = generate(GenSpec(family="layered", layers=20, width=15, seed=6, added_cycles=2,
+                                   weight_lo=-4, weight_hi=6))
+        subgame = induced_subgame(torus, random.Random(5).sample(range(400), 300))
+        # the torus has no self-loops, so these were patched in
+        assert any(u == v for u, v, _ in subgame.edges)
+        return [parse_game(render_game(sprand)), sprand, torus, layered, subgame]
+
+    def test_rows_are_tuples_and_writes_raise(self):
+        for g in self.games():
+            assert g.vertex_count > 256
+            for rows in (g.out_adjacency, g.in_adjacency):
+                assert type(rows) is tuple
+                assert all(type(row) is tuple for row in rows)
+                with pytest.raises(TypeError):
+                    rows[0] = ()
+                with pytest.raises(TypeError):
+                    rows[1][0] = rows[1][0]
+                with pytest.raises(AttributeError):
+                    rows[2].append(rows[2][0])
+
+    def test_each_vertex_id_is_one_object(self):
+        for g in self.games():
+            one = {}
+            for u, v, _ in g.edges:
+                assert one.setdefault(u, u) is u
+                assert one.setdefault(v, v) is v
+            for row in g.out_adjacency:
+                for v, _ in row:
+                    assert one[v] is v
+            assert len(one) == g.vertex_count > 256
 
 
 class TestWeights:

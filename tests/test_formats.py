@@ -203,6 +203,37 @@ def test_tokenised_parse_equals_the_line_loop(text):
     assert got.in_adjacency == want.in_adjacency
 
 
+def _edge_order_render(g: GameGraph) -> str:
+    """The game text as written by sorting every edge triple."""
+    lines = [f"p mpg {g.vertex_count} {len(g.edges)}"]
+    lines += [f"o {v} {o.value}" for v, o in enumerate(g.owners)]
+    lines += [f"e {u} {v} {w}" for u, v, w in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shuffled_games(draw):
+    """Games with parallel edges, self-loops and negative weights, their
+    edges given in shuffled order."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    weight = st.integers(-50, 50)
+    owners = draw(st.lists(st.sampled_from(list(Owner)), min_size=n, max_size=n))
+    edges = [(v, draw(vertex), draw(weight)) for v in range(n)]  # no vertex is a sink
+    edges += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
+    u, v = draw(vertex), draw(vertex)
+    edges += [(u, v, draw(weight)), (u, v, draw(weight)), (u, v, -1), (u, u, draw(st.integers(-50, -1)))]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5))  # equal triples too
+    return GameGraph(n, owners, draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shuffled_games())
+def test_render_follows_the_sorted_edge_triples(g):
+    assert render_game(g) == _edge_order_render(g)
+    assert parse_game(render_game(g)) == g
+
+
 class TestResultFormat:
     def test_infinite_entries(self):
         text = render_values([0, 12, INF, INF])

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -143,6 +144,33 @@ class TestPinnedBytes:
     ], ids=lambda x: x.family if isinstance(x, GenSpec) else "")
     def test_rendered_game(self, spec, want):
         assert hashlib.sha256(render_game(generate(spec)).encode()).hexdigest() == want
+
+
+class TestWeightStream:
+    """Weights are ``randint(weight_lo, weight_hi) - shift`` on the weight
+    substream ``seed * 8 + 2``, one draw per edge in edge order."""
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="sprand", seed=12, n=300, edge_factor=2.5, weight_lo=-700, weight_hi=2300, shift=41),
+        GenSpec(family="torus", seed=13, rows=9, cols=11, added_cycles=4, cycle_len=6,
+                weight_lo=-5, weight_hi=5, shift=-3),
+        GenSpec(family="layered", seed=14, layers=7, width=9, added_cycles=3,
+                weight_lo=1, weight_hi=10000, shift=5000),
+    ], ids=lambda spec: spec.family)
+    def test_weights_are_randint_minus_shift(self, spec):
+        g = generate(spec)
+        rng = random.Random(spec.seed * 8 + 2)
+        want = [rng.randint(spec.weight_lo, spec.weight_hi) - spec.shift for _ in g.edges]
+        assert [w for _, _, w in g.edges] == want
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="sprand", n=5, weight_lo=3, weight_hi=2),
+        GenSpec(family="torus", rows=2, cols=3, weight_lo=0, weight_hi=-1),
+        GenSpec(family="layered", layers=2, width=2, weight_lo=10, weight_hi=1, added_cycles=1),
+    ], ids=lambda spec: spec.family)
+    def test_empty_weight_range(self, spec):
+        with pytest.raises(InvalidSpec, match=r"empty weight range \[-?\d+, -?\d+\]"):
+            generate(spec)
 
 
 class TestBalancingShift:
