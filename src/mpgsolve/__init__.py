@@ -6,6 +6,7 @@ of edge weights non-negative forever -- optionally with the energy truncated
 at an upper bound -- together with optimal strategies for both players.
 """
 
+from .checker import verify_min_witness
 from .core import (
     GameGraph,
     MinWitness,
@@ -49,7 +50,6 @@ from .kasi import (
     improve_strategy,
     solve_lb,
     solve_lwub,
-    verify_min_witness,
     winning_sign,
 )
 from .oracle import oracle_lb, oracle_lwub

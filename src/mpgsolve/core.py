@@ -17,7 +17,7 @@ a game is well formed and inside the 64-bit envelope; the solvers take that
 for granted.  :func:`reduction_bound` is the one place that derives the lb
 reduction bound and checks its envelope.  A graph's edges, adjacency rows
 and outer adjacency sequences are tuples, so a write into them raises; its
-attributes must not be rebound.  Graphs are safe to share between solver
+attributes cannot be rebound.  Graphs are safe to share between solver
 runs; strategies and vectors are independent values.
 """
 
@@ -74,34 +74,41 @@ class GameGraph:
     ``out_adjacency[u]`` holds a ``(v, w)`` pair per edge ``(u, v, w)``;
     ``in_adjacency[v]`` holds the very triples of ``edges`` whose head is
     ``v``, so an edge costs one triple and one pair.  Both keep input order.
-    The rows and both outer sequences are tuples, so a write into them
-    raises instead of bypassing the only check; the attributes themselves
-    are not to be rebound.  Parsing, the ``sprand``, ``torus`` and
-    ``layered`` generators and :func:`induced_subgame` take every vertex id
-    from one ``list(range(n))``, so each id is one int object however many
-    edges name it; that saves memory only above 256 vertices, since CPython
+    The rows and both outer sequences are tuples and the attributes cannot
+    be rebound, so a write raises instead of bypassing the only check.
+    Parsing, the ``sprand``, ``torus`` and ``layered`` generators and
+    :func:`induced_subgame` take every vertex id from one
+    ``list(range(n))``, so each id is one int object however many edges
+    name it; that saves memory only above 256 vertices, since CPython
     already caches smaller ints.
     """
 
     __slots__ = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency")
 
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
-        self.vertex_count = n = vertex_count
-        self.owners = tuple(owners)
-        self.edges = tuple(map(tuple, edges))
+        n = vertex_count
+        owners = tuple(owners)
+        edges = tuple(map(tuple, edges))
         out = inc = ()
         try:
             out = [[] for _ in range(n)]
             inc = [[] for _ in range(n)]
-            for e in self.edges:
+            for e in edges:
                 u, v, w = e  # a negative id lands in a row from the end
                 out[u].append((v, w))
                 inc[v].append(e)
         except (TypeError, ValueError, IndexError):
             pass  # a field of the wrong type, shape or range, which validate names
-        self.out_adjacency = tuple(map(tuple, out))
-        self.in_adjacency = tuple(map(tuple, inc))
+        values = (n, owners, edges, tuple(map(tuple, out)), tuple(map(tuple, inc)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         validate(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GameGraph attribute {name!r} cannot be rebound")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GameGraph attribute {name!r} cannot be deleted")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GameGraph):

@@ -63,12 +63,11 @@ resolved weights, so the searches never look a weight up.
 Max wins with a single positional strategy, read off the final longest-path
 forest.  Min in general needs memory: her optimal play is the recorded
 *sequence* of positional strategies, replayed by per-vertex death index
-(see :func:`verify_min_witness`).
+(:func:`checker.verify_min_witness` checks it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
@@ -92,28 +91,11 @@ from .errors import (
     InvariantViolation,
     PositiveTransformedEdge,
     PreconditionViolated,
-    WitnessIncomplete,
 )
 
 #: Condition (i) is verified by Bellman-Ford, which is cubic-ish; the check
 #: only runs on instances up to this many vertices.
 CYCLE_CHECK_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class ViolationTrace:
-    """A losing play prefix: vertices visited and the edge weights taken."""
-
-    vertices: tuple[int, ...]
-    weights: tuple[int, ...]
-
-    def min_segment_weight(self) -> int:
-        best = 0
-        running = 0
-        for w in self.weights:
-            running = min(running, 0) + w
-            best = min(best, running)
-        return best
 
 
 class _Prepared:
@@ -596,113 +578,3 @@ def _extract_max_strategy(g, d, parents) -> PositionalStrategy:
             choice[v] = p
     return PositionalStrategy(Owner.MAX, choice)
 
-
-def verify_min_witness(
-    game: GameGraph,
-    bound: int,
-    witness: MinWitness,
-    vertex: int,
-    credit: int,
-) -> ViolationTrace:
-    """Check that the witness beats every Max behavior from a losing vertex.
-
-    Simulates Min's playback rule over states (vertex, clamped energy,
-    strategy index): Min plays the strategy indexed by the death index of the
-    current losing region, switching only to lower indices; Max branches over
-    all edges.  Energy is clamped to ``bound`` from above, and with that
-    clamp a traversed segment of weight below ``-bound`` is exactly a drop of
-    the clamped energy below zero, so a single absorbing "violated" outcome
-    covers both losing conditions.
-
-    Returns one violating play; raises WitnessIncomplete when some Max
-    behavior survives, which signals an implementation bug.
-    """
-    bound = check_bound(bound)
-    check_bound(credit, "credit")
-    death = witness.death_index
-    if death[vertex] is None:
-        raise InvalidSpec(f"vertex {vertex} is not losing; nothing to verify")
-    last = len(witness.strategies) - 1
-    choice = [s.choice for s in witness.strategies]
-    # Min traverses the lightest parallel edge to her chosen target.
-    min_edge = _Prepared(game).succ
-
-    start = (vertex, min(credit, bound), min(death[vertex], last))
-    parents: dict[tuple, tuple | None] = {start: None}
-    succ: dict[tuple, list[tuple]] = {}
-    queue = [start]
-    head = 0
-    first_violation = None  # (state, final vertex, final weight)
-    while head < len(queue):
-        state = queue[head]
-        head += 1
-        v, e, j = state
-        if min_edge[v] is not None:
-            u = choice[j][v]
-            moves = [(u, min_edge[v][u])]
-        else:
-            moves = game.out_adjacency[v]
-        kids = []
-        for u, w in moves:
-            e2 = e + w
-            if e2 > bound:
-                e2 = bound
-            if e2 < 0:
-                if first_violation is None:
-                    first_violation = (state, u, w)
-                continue
-            du = death[u]
-            j2 = j if du is None or du >= j else du
-            nxt = (u, e2, j2)
-            kids.append(nxt)
-            if nxt not in parents:
-                parents[nxt] = (state, u, w)
-                queue.append(nxt)
-        succ[state] = kids
-
-    # Max survives iff the explored graph of non-violated states has a cycle.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succ, WHITE)
-    for root in succ:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            node, i = stack.pop()
-            kids = succ[node]
-            advanced = False
-            while i < len(kids):
-                kid = kids[i]
-                i += 1
-                c = color[kid]
-                if c == GRAY:
-                    raise WitnessIncomplete(
-                        f"a play may cycle safely through state {kid}"
-                    )
-                if c == WHITE:
-                    stack.append((node, i))
-                    color[kid] = GRAY
-                    stack.append((kid, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-
-    if first_violation is None:
-        raise WitnessIncomplete("exploration found no violating play")
-    state, final_vertex, final_weight = first_violation
-    rev_vertices = [final_vertex]
-    rev_weights = [final_weight]
-    cur = state
-    while cur is not None:
-        rev_vertices.append(cur[0])
-        link = parents[cur]
-        if link is None:
-            break
-        prev_state, _, w = link
-        rev_weights.append(w)
-        cur = prev_state
-    rev_vertices.reverse()
-    rev_weights.reverse()
-    return ViolationTrace(tuple(rev_vertices), tuple(rev_weights))

@@ -17,6 +17,8 @@ These are exactly the two losing conditions of the bounded problem.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import INF, GameGraph, Owner, check_bound, reduction_bound
 from .errors import BudgetExceeded
 
@@ -67,10 +69,7 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
                 queue.append(sid)
 
     inc = game.in_adjacency
-    head = 0
-    while head < len(queue):
-        sid = queue[head]
-        head += 1
+    for sid in queue:  # grows while walked; a state joins once, on turning unsafe
         u, e2 = divmod(sid, width)
         for v, _, w in inc[u]:
             base = v * width
@@ -180,12 +179,12 @@ def oracle_value_sign(
     nonneg = [False] * n
     nxt = [0] * n
     wnxt = [0] * n
-    for sigma in _profiles(max_opts):
+    for sigma in product(*max_opts):
         for v, u in zip(max_vs, sigma):
             nxt[v] = u
             wnxt[v] = best_w[v][u]
         good = [True] * n
-        for pi in _profiles(min_opts):
+        for pi in product(*min_opts):
             for v, u in zip(min_vs, pi):
                 nxt[v] = u
                 wnxt[v] = best_w[v][u]
@@ -200,13 +199,3 @@ def oracle_value_sign(
         tuple(v for v in range(n) if nonneg[v]),
         tuple(v for v in range(n) if not nonneg[v]),
     )
-
-
-def _profiles(options: list[list[int]]):
-    if not options:
-        yield ()
-        return
-    head, *rest = options
-    for u in head:
-        for tail in _profiles(rest):
-            yield (u,) + tail

@@ -25,6 +25,7 @@ fixpoint.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import DEADLINE_STRIDE, INF, GameGraph, Owner, check_bound, deadline_after
@@ -109,15 +110,13 @@ def vi_solve(
         if is_max[v]:
             x = d[v]
             count[v] = sum(1 for _, w in out[v] if -w <= x)
-    queue = [v for v in range(n) if d[v] > 0]
+    queue = deque(v for v in range(n) if d[v] > 0)
     in_queue = bytearray(n)
     for v in queue:
         in_queue[v] = 1
-    head = 0
     pops = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    while queue:
+        v = queue.popleft()
         in_queue[v] = 0
         pops += 1
         if deadline is not None and pops % DEADLINE_STRIDE == 0:
@@ -155,9 +154,6 @@ def vi_solve(
             if not in_queue[p]:
                 in_queue[p] = 1
                 queue.append(p)
-        if head > 1048576 and head * 2 > len(queue):
-            del queue[:head]
-            head = 0
     if stats is not None:
         stats["iterations"] = pops
     return d

@@ -1,7 +1,8 @@
 from dataclasses import fields
 from pathlib import Path
 
-from mpgsolve import GenSpec, generate, memory_game, render_game, two_vertex_duel
+from mpgsolve import GenSpec, InvariantViolation, generate, memory_game, parse_game, render_game, two_vertex_duel
+from mpgsolve import cli
 from mpgsolve.cli import build_parser, main
 
 
@@ -66,6 +67,23 @@ class TestSolve:
     def test_missing_bound_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         assert main(["solve", "--problem", "lwub", str(path)]) == 2
+
+    def test_bound_with_lb_exits_2(self, tmp_path, capsys):
+        path = write_memory_game(tmp_path)
+        assert main(["solve", "--problem", "lb", "--bound", "5", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "--bound only applies to --problem lwub" in captured.err
+        assert captured.out == ""
+
+    def test_broken_invariant_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(game, **kwargs):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr("mpgsolve.kasi.solve_lb", broken)
+        assert main(["solve", str(write_memory_game(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert "internal invariant failure: planted" in captured.err
+        assert captured.out == ""
 
     def test_negative_bound_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
@@ -191,3 +209,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "--trials must be >= 0, got -5" in captured.err
         assert captured.out == ""
+
+    def test_budget_exceeded_exits_3(self, capsys):
+        assert main(["verify", "--budget", "0", "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "budget exceeded" in captured.err
+        assert captured.out == ""
+
+    def test_disagreement_is_minimized_and_exits_1(self, capsys, monkeypatch):
+        # a value iteration that always answers -1 disagrees on every game,
+        # so the shrinking deletes vertices down to a single one
+        monkeypatch.setattr("mpgsolve.cli.vi_solve", lambda game, bound: [-1] * game.vertex_count)
+        assert main(["verify", "--n-max", "5", "--trials", "3", "--seed", "1"]) == 1
+        header, rest = capsys.readouterr().out.split("\n", 1)
+        assert header.startswith("disagreement at trial 0 (bound ")
+        bound = int(header.split("(bound ")[1].split(")")[0])
+        text, answers = rest.split("oracle: ")
+        shrunk = parse_game(text)
+        assert shrunk.vertex_count == 1  # so no larger than the original
+        assert cli._verify_one(shrunk, bound, 10**6) is not None
+        assert answers.splitlines()[-1] == "vi:     [-1]"

@@ -65,6 +65,11 @@ class TestValidate:
         with pytest.raises(ValidationError, match="not a triple of ints"):
             GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, 2.7), (1, 0, -2.9)])
 
+    def test_no_vertices(self):
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="a game needs at least one vertex"):
+                GameGraph(n, [], [])
+
     def test_string_fields_are_not_converted(self):
         with pytest.raises(ValidationError, match="not a triple of ints"):
             GameGraph(2, [Owner.MAX, Owner.MAX], [("0", "1", "3"), (1, 0, 0)])
@@ -87,7 +92,10 @@ class TestValidate:
          "edge (0, -1, 1) has an endpoint outside the vertex range"),
         ((Owner.MAX, Owner.MAX), (2, 0, 0), DanglingEdge,
          "edge (2, 0, 0) has an endpoint outside the vertex range"),
-    ], ids=["length-2", "length-4", "bool", "float", "str-owner", "negative-id", "id-out-of-range"])
+        ((Owner.MAX,), (0, 1, 1), ValidationError, "1 owner entries for 2 vertices"),
+        ((Owner.MAX, Owner.MIN, Owner.MAX), (0, 1, 1), ValidationError, "3 owner entries for 2 vertices"),
+    ], ids=["length-2", "length-4", "bool", "float", "str-owner", "negative-id", "id-out-of-range",
+            "one-owner", "three-owners"])
     def test_each_fault_has_its_own_class_and_message(self, owners, edge, error, message):
         with pytest.raises(ValidationError) as err:
             GameGraph(2, owners, [(0, 1, 0), edge, (1, 0, 0)])
@@ -194,6 +202,11 @@ class TestInducedSubgame:
         with pytest.raises(EmptyKeepSet):
             induced_subgame(chain_abc(), [])
 
+    def test_keep_outside_the_vertex_range(self):
+        for v in (-1, 3):
+            with pytest.raises(ValidationError, match=f"keep set contains out-of-range vertex {v}"):
+                induced_subgame(chain_abc(), [0, v])
+
 
 class TestAdjacencyLayout:
     """``in_adjacency`` holds the game's own edge triples, one per edge in
@@ -271,6 +284,15 @@ class TestImmutableLayout:
                     rows[1][0] = rows[1][0]
                 with pytest.raises(AttributeError):
                     rows[2].append(rows[2][0])
+            # nor can an attribute be rebound or deleted, which would
+            # bypass validate as a write into a row would
+            before = [getattr(g, name) for name in GameGraph.__slots__]
+            for name, value in zip(GameGraph.__slots__, [1, (), ((0, 5, 1),), ((), ()), ((), ())]):
+                with pytest.raises(AttributeError):
+                    setattr(g, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(g, name)
+            assert all(getattr(g, name) is was for name, was in zip(GameGraph.__slots__, before))
 
     def test_each_vertex_id_is_one_object(self):
         for g in self.games():

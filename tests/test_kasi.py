@@ -279,6 +279,16 @@ class TestMinWitness:
                     assert trace.vertices[0] == v
         assert seen > 50  # the corpus really exercised losing vertices
 
+    def test_min_takes_her_lightest_parallel_edge(self):
+        # from energy 3 the -1 loop loses in four steps; a checker that took
+        # the first or the heaviest parallel edge, +1, would let Max survive
+        g = GameGraph(1, [MIN], [(0, 0, 1), (0, 0, -1)])
+        res = solve_lwub(g, 3, check=True)
+        assert res.lwub == [INF]
+        trace = verify_min_witness(g, 3, res.min_witness, 0, 3)
+        assert trace.vertices == (0, 0, 0, 0, 0)
+        assert trace.weights == (-1, -1, -1, -1)
+
     def test_verify_rejects_winnable_vertex(self):
         g = one_vertex_game(0)
         res = solve_lwub(g, 3, check=True)
@@ -298,6 +308,16 @@ class TestMinWitness:
         )
         with pytest.raises(WitnessIncomplete):
             verify_min_witness(g, MEMORY_GAME_BOUND, broken, 2, MEMORY_GAME_BOUND)
+
+    def test_safe_cycle_beside_a_violation_is_reported(self):
+        # Max at 0 loses along the -5 edge but may loop at weight 0 forever;
+        # the violation found first must not hide the safe cycle
+        from mpgsolve import MinWitness
+
+        g = GameGraph(2, [MAX, MIN], [(0, 0, 0), (0, 1, -5), (1, 1, -1)])
+        broken = MinWitness(strategies=[PositionalStrategy(MIN, {1: 1})], death_index=[0, 0])
+        with pytest.raises(WitnessIncomplete, match="a play may cycle safely through state"):
+            verify_min_witness(g, 3, broken, 0, 3)
 
 
 class TestEnergyBounds:

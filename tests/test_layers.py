@@ -15,6 +15,7 @@ ALLOWED = {
     "errors": set(),
     "core": {"errors"},
     "kasi": _BELOW_CORE,
+    "checker": _BELOW_CORE,
     "value_iteration": _BELOW_CORE,
     "oracle": _BELOW_CORE,
     "generators": _BELOW_CORE,
