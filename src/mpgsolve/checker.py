@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .core import GameGraph, MinWitness, Owner, check_bound
-from .errors import InvalidSpec, WitnessIncomplete
+from .core import GameGraph, MinWitness, Owner, check_bound, validate_strategy
+from .errors import InvalidSpec, InvalidStrategy, WitnessIncomplete
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,33 @@ def verify_min_witness(
     so the play returned is a shortest one.
 
     Returns one violating play; raises WitnessIncomplete when some Max
-    behavior survives, which signals an implementation bug.
+    behavior survives, which signals an implementation bug.  A vertex out
+    of range or a malformed witness raises InvalidSpec, and a block that
+    is not a Min strategy of the game InvalidStrategy.
     """
     bound = check_bound(bound)
     check_bound(credit, "credit")
+    n = game.vertex_count
     death = witness.death_index
+    if len(death) != n:
+        raise InvalidSpec(f"death_index has {len(death)} entries for {n} vertices")
+    if type(vertex) is not int or not 0 <= vertex < n:
+        raise InvalidSpec(f"vertex {vertex!r} is not in range({n})")
+    k = len(witness.strategies)
+    for v, j in enumerate(death):
+        if j is not None and (type(j) is not int or not 0 <= j < k):
+            raise InvalidSpec(f"death_index[{v}] = {j!r} names none of the {k} strategies")
+    for strategy in witness.strategies:
+        if strategy.player is not Owner.MIN:
+            raise InvalidStrategy("expected a Min strategy")
+        validate_strategy(game, strategy)
     if death[vertex] is None:
         raise InvalidSpec(f"vertex {vertex} is not losing; nothing to verify")
-    last = len(witness.strategies) - 1
     choice = [s.choice for s in witness.strategies]
     out = game.out_adjacency
     owners = game.owners
 
-    start = (vertex, min(credit, bound), min(death[vertex], last))
+    start = (vertex, min(credit, bound), death[vertex])
     parent = {start: None}  # state -> (state before, weight taken)
     kids = {}  # state -> its non-violated successor states
     violation = None  # (state, final vertex, final weight)

@@ -52,13 +52,12 @@ scan it replaces.  A heap entry is the integer ``key * n + v``, which
 orders as ``(key, v)`` does.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
-really belong to Min must be resolved adversarially first.  Each public
-call builds the game's :class:`_Prepared` form once, and every helper
-reads it.  There a Min vertex keeps one edge per target, weighted by the
-lightest of its parallels.  Max's edges stay as the game lists them:
-longest paths pick the heaviest parallel anyway, and Max's strategy is
-read off them in adjacency order.  The predecessor lists carry the same
-resolved weights, so the searches never look a weight up.
+really belong to Min must be resolved adversarially.  Min's choice
+``pi[v]`` is a ``(u, w)`` pair of the game's own out-adjacency row, her
+lightest edge to her target ``u``, and every helper reads her weight off
+it.  Max's edges stay as the game lists them: longest paths pick the
+heaviest parallel anyway, and Max's strategy is read off them in
+adjacency order.
 
 Max wins with a single positional strategy, read off the final longest-path
 forest.  Min in general needs memory: her optimal play is the recorded
@@ -99,47 +98,29 @@ CYCLE_CHECK_LIMIT = 64
 
 
 class _Prepared:
-    """The solver's form of a game (see the module docstring).
+    """The game as the solver reads it (see the module docstring).
 
-    ``out`` is the game's own out-adjacency.  ``succ[v]`` maps each target
-    of a Min vertex to her lightest parallel weight and is None at Max
-    vertices.  ``pred[u]`` lists a triple ``(v, u, w)`` for each of Max's
-    edges into ``u`` and for each Min vertex ``v`` with ``u`` in
-    ``succ[v]``.  It is the game's in-adjacency, whose entries are the
-    game's own edge triples; only where a Min vertex has parallel edges is
-    there a new list, holding one new triple with her lightest weight.
-    Nothing writes to it.
+    ``out`` and ``pred`` are the game's own out- and in-adjacency, the
+    latter listing the game's edge triples ``(v, u, w)`` into each ``u``;
+    ``is_min[v]`` tells whether Min owns ``v``.
     """
 
-    __slots__ = ("n", "is_min", "out", "succ", "pred")
+    __slots__ = ("n", "is_min", "out", "pred")
 
     def __init__(self, game: GameGraph):
-        n = self.n = game.vertex_count
-        out = self.out = game.out_adjacency
-        is_min = self.is_min = [o is Owner.MIN for o in game.owners]
-        succ = self.succ = [None] * n
-        pred = self.pred = list(game.in_adjacency)
-        for v in range(n):
-            if not is_min[v]:
-                continue
-            edges = out[v]
-            table = succ[v] = dict(edges)
-            if len(table) < len(edges):  # parallel edges: keep the lightest
-                for u, w in edges:
-                    if w < table[u]:
-                        table[u] = w
-                for u, w in table.items():
-                    pred[u] = [e for e in pred[u] if e[0] != v] + [(v, u, w)]
+        self.n = game.vertex_count
+        self.out = game.out_adjacency
+        self.pred = game.in_adjacency
+        self.is_min = [o is Owner.MIN for o in game.owners]
 
 
 def _residual(g, pi, v, d):
     """``(best, u)``: the largest ``w + d(u)`` over the strategy-restricted
     out-edges ``(v, u)`` of ``v``, and the first ``u`` reaching it
     (``(-inf, -1)`` when none does)."""
-    succ = g.succ[v]
-    if succ is not None:
-        u = pi[v]
-        return succ[u] + d[u], u
+    if pi[v] is not None:  # Min's choice, at its weight
+        u, w = pi[v]
+        return w + d[u], u
     best, arg = NEG_INF, -1
     for u, w in g.out[v]:
         t = w + d[u]
@@ -158,7 +139,6 @@ def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
     """
     n = g.n
     pred = g.pred
-    is_min = g.is_min
     pops = 0
     while heap:
         item = heappop(heap)
@@ -173,8 +153,11 @@ def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
         for x, _, w in pred[y]:
             if not opened[x]:
                 continue
-            if is_min[x] and pi[x] != y:
-                continue  # edge removed by the strategy restriction
+            choice = pi[x]
+            if choice is not None:  # Min's tail: her choice, at its weight
+                if choice[0] != y:
+                    continue  # edge removed by the strategy restriction
+                w = choice[1]
             cand = dy + w
             if cand < -bound:
                 continue  # admissibility pruning, see _dijkstra
@@ -272,8 +255,7 @@ def _check_entry(g, pi, d_prev):
     (ii) d < 0 on D minus A and d(v) >= d(u) + w(v, u) along restricted edges.
     """
     def restricted(v):
-        succ = g.succ[v]
-        return g.out[v] if succ is None else [(pi[v], succ[pi[v]])]
+        return g.out[v] if pi[v] is None else [pi[v]]
 
     core = []  # D \ A
     for v in range(g.n):
@@ -351,11 +333,12 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         fallen.update(changed)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
-        # no restricted edge of it stays non-negative
+        # no restricted edge of it stays non-negative; a Min choice is her
+        # lightest edge into y, so her lightest parallel triple tests it
         drop = {
             x for y in changed for x, _, w in pred[y]
             if d[x] == 0 and d[y] + w < 0
-            and (pi[x] == y if is_min[x] else _residual(g, pi, x, d)[0] < 0)
+            and (pi[x][0] == y if is_min[x] else _residual(g, pi, x, d)[0] < 0)
         }
         if check:
             if roots is not None and _dijkstra(g, pi, bound, ref, pot, check)[0] != d:
@@ -375,55 +358,56 @@ def _improve(g, pi, d, tested):
     """Switch Min choices violating local optimality among the vertices
     ``tested``; returns the switched vertices.
 
-    The condition is tested on effective (lightest-parallel) weights; ties
-    break toward the smallest d(u) + w, then the lowest target index.
+    Every out-edge of the game is a candidate, and the smallest
+    ``(d(u) + w, u)`` wins: the smallest value, then the lowest target
+    index, at the lightest of that target's parallel edges.
     """
     switched = []
-    succ_of = g.succ
+    out = g.out
     for v in tested:
-        succ = succ_of[v]
-        if succ is None:
+        if pi[v] is None:
             continue
         dv = d[v]
         if dv == NEG_INF:
             continue
-        cur = pi[v]
+        cur = pi[v][0]
         best = None
-        for u, w in succ.items():
+        for e in out[v]:
+            u, w = e
             if u == cur:
                 continue  # re-picking the current target is a no-op
             cand = d[u] + w
             if dv > cand and (best is None or (cand, u) < best):
-                best = (cand, u)
+                best, choice = (cand, u), e
         if best is not None:
-            pi[v] = best[1]
+            pi[v] = choice
             switched.append(v)
     return switched
 
 
 def _snapshot(pi):
-    return PositionalStrategy(Owner.MIN, {v: u for v, u in enumerate(pi) if u is not None})
+    return PositionalStrategy(Owner.MIN, {v: e[0] for v, e in enumerate(pi) if e is not None})
 
 
 def _initial_pi(game, strategy):
     """Min's choice per vertex, None at Max's, from ``strategy`` once checked
     by :func:`validate_strategy` to choose an edge at every Min vertex and
-    nowhere else."""
+    nowhere else: her lightest edge to the chosen target."""
     if strategy.player is not Owner.MIN:
         raise InvalidStrategy("expected a Min strategy")
     validate_strategy(game, strategy)
     pi = [None] * game.vertex_count
     for v, u in strategy.choice.items():
-        pi[v] = u
+        pi[v] = min(e for e in game.out_adjacency[v] if e[0] == u)
     return pi
 
 
 def _solve(game, bound, check, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
-    lowest-indexed successors."""
+    lowest-indexed successors at their lightest weights."""
     g = _Prepared(game)
     n, pred, is_min = g.n, g.pred, g.is_min
-    pi = [None if succ is None else min(succ) for succ in g.succ]
+    pi = [min(row) if m else None for row, m in zip(g.out, is_min)]
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from mpgsolve import (
     ValidationError,
     ZeroOutDegree,
     core,
+    evaluate_strategy,
     induced_subgame,
     max_abs_weight,
     memory_game,
@@ -210,8 +212,7 @@ class TestInducedSubgame:
 
 class TestAdjacencyLayout:
     """``in_adjacency`` holds the game's own edge triples, one per edge in
-    input order, and so do the solver's predecessor lists wherever the tail
-    is Max's."""
+    input order, and the solver reads it as its predecessor lists."""
 
     @staticmethod
     def games():
@@ -235,22 +236,30 @@ class TestAdjacencyLayout:
             for v in range(g.vertex_count):
                 self.assert_same_objects(g.in_adjacency[v], heads[v])
 
-    def test_predecessors_of_max_are_the_edge_triples(self):
+    def test_solver_reads_the_game_as_built(self):
         for g in self.games():
-            prepared = kasi._Prepared(g)
-            for u in range(g.vertex_count):
-                pred = prepared.pred[u]
-                self.assert_same_objects(
-                    [e for e in pred if g.owners[e[0]] is Owner.MAX],
-                    [e for e in g.in_adjacency[u] if g.owners[e[0]] is Owner.MAX],
-                )
-                # a Min tail appears once, with her lightest parallel weight
-                lightest = {}
-                for v, _, w in g.in_adjacency[u]:
-                    if g.owners[v] is Owner.MIN:
-                        lightest[v] = min(w, lightest.get(v, w))
-                mins = [e for e in pred if g.owners[e[0]] is Owner.MIN]
-                assert sorted(mins) == sorted((v, u, w) for v, w in lightest.items())
+            assert kasi._Prepared(g).pred is g.in_adjacency
+        # Min traverses her lightest parallel edge, so every answer on the
+        # parallel game is the answer on it without her heavier parallels
+        g = self.games()[1]
+        lightest = {}
+        for v, u, w in g.edges:
+            if g.owners[v] is Owner.MIN:
+                lightest[v, u] = min(w, lightest.get((v, u), w))
+        pruned = GameGraph(g.vertex_count, g.owners,
+                           [e for e in g.edges if lightest.get(e[:2], e[2]) == e[2]])
+        assert len(pruned.edges) < len(g.edges)
+        assert max_abs_weight(pruned) == max_abs_weight(g)  # the same lb bound
+        assert solve_lb(g, check=True) == solve_lb(pruned, check=True)
+        assert solve_lwub(g, 10, check=True) == solve_lwub(pruned, 10, check=True)
+        # Min chooses a target she has parallel edges to wherever she has one
+        count = Counter(e[:2] for e in g.edges)
+        strategy = PositionalStrategy(Owner.MIN, {
+            v: max(g.out_adjacency[v], key=lambda e: count[v, e[0]])[0] for v in g.vertices_of(Owner.MIN)
+        })
+        d_prev = [0] * g.vertex_count
+        want = evaluate_strategy(pruned, 10, strategy, d_prev, check=True)
+        assert evaluate_strategy(g, 10, strategy, d_prev, check=True) == want
 
 
 class TestImmutableLayout:

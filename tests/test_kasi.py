@@ -39,7 +39,8 @@ MIN = Owner.MIN
 
 def longest(game, bound, targets, potentials, check=False):
     """The solver's longest admissible path weights to ``targets`` on a game
-    without Min vertices, so that no strategy restricts it."""
+    without Min vertices, where Min's choice is None at every vertex and no
+    strategy restricts the search."""
     g = kasi._Prepared(game)
     d, _ = kasi._dijkstra(g, [None] * g.n, bound, targets, potentials, check)
     return d
@@ -151,6 +152,33 @@ class TestImproveStrategy:
         assert d == [-5, 0]
         new, changed = improve_strategy(g, d, PositionalStrategy(MIN, {0: 1}))
         assert not changed
+
+    def test_tie_breaks_toward_the_lower_target(self):
+        # d(3) + w = -2 - 1 and d(2) + w = 0 - 3 tie, the higher target listed first
+        g = GameGraph(4, [MIN, MAX, MAX, MAX],
+                      [(0, 3, -1), (0, 2, -3), (0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)])
+        new, changed = improve_strategy(g, [0, 0, 0, -2], PositionalStrategy(MIN, {0: 1}))
+        assert changed and new.choice == {0: 2}
+        # and in a solve, from the lowest target 1, on weights alone
+        g = GameGraph(4, [MIN, MAX, MAX, MAX],
+                      [(0, 3, -2), (0, 2, -2), (0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)])
+        res = solve_lwub(g, 10, check=True)
+        assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
+        assert res.lwub == oracle_lwub(g, 10) == [2, 0, 0, 0]
+
+    def test_switch_takes_the_lightest_parallel_edge(self):
+        # target 2 is reached at -1 and, listed second, -5; at -5 it ties
+        # with target 3, listed first, and wins on its lower index
+        g = GameGraph(4, [MIN, MAX, MAX, MAX], [
+            (0, 3, -5), (0, 2, -1), (0, 2, -5), (0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0),
+        ])
+        new, changed = improve_strategy(g, [0] * 4, PositionalStrategy(MIN, {0: 1}))
+        assert changed and new.choice == {0: 2}
+        assert evaluate_strategy(g, 10, new, [0] * 4, check=True) == [-5, 0, 0, 0]
+        res = solve_lwub(g, 10, check=True)
+        assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
+        assert res.final_d == [-5, 0, 0, 0]
+        assert res.lwub == oracle_lwub(g, 10) == [5, 0, 0, 0]
 
     def test_revisiting_a_strategy_is_legal(self):
         # the sprand game of seed 7317 (6 vertices, weights -6..6): from the
@@ -308,6 +336,33 @@ class TestMinWitness:
         )
         with pytest.raises(WitnessIncomplete):
             verify_min_witness(g, MEMORY_GAME_BOUND, broken, 2, MEMORY_GAME_BOUND)
+
+    # the memory game's witness is [{2: 0}, {2: 3}] with death index [None, None, 1, 0]
+    @pytest.mark.parametrize("vertex, strategies, death, error, message", [
+        (-1, None, None, InvalidSpec, "vertex -1 is not in range(4)"),
+        (7, None, None, InvalidSpec, "vertex 7 is not in range(4)"),
+        (2.0, None, None, InvalidSpec, "vertex 2.0 is not in range(4)"),
+        (2, None, [None, None, 1], InvalidSpec, "death_index has 3 entries for 4 vertices"),
+        (2, None, [None, None, -1, 0], InvalidSpec, "death_index[2] = -1 names none of the 2 strategies"),
+        (2, None, [None, None, 1.0, 0], InvalidSpec, "death_index[2] = 1.0 names none of the 2 strategies"),
+        (2, [], None, InvalidSpec, "death_index[2] = 1 names none of the 0 strategies"),
+        (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MIN, {2: 1})], None,
+         InvalidStrategy, "choice 2 -> 1 is not an edge"),
+        (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MIN, {})], None,
+         InvalidStrategy, "strategy domain mismatch (missing [2], extra [])"),
+        (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MAX, {0: 0, 1: 0, 3: 2})], None,
+         InvalidStrategy, "expected a Min strategy"),
+    ])
+    def test_malformed_witness_rejected(self, vertex, strategies, death, error, message):
+        from mpgsolve import MinWitness
+
+        g = memory_game()
+        witness = solve_lwub(g, MEMORY_GAME_BOUND, check=True).min_witness
+        witness = MinWitness(witness.strategies if strategies is None else strategies,
+                             witness.death_index if death is None else death)
+        with pytest.raises(error) as err:
+            verify_min_witness(g, MEMORY_GAME_BOUND, witness, vertex, MEMORY_GAME_BOUND)
+        assert str(err.value) == message
 
     def test_safe_cycle_beside_a_violation_is_reported(self):
         # Max at 0 loses along the -5 edge but may loop at weight 0 forever;
