@@ -3,8 +3,8 @@
 Min's optimal play is a *sequence* of positional strategies, replayed by
 per-vertex death index.  :func:`verify_min_witness` checks it against every
 behaviour of Max.  It reads only the game and the witness, core types both,
-and computes Min's moves itself, so a fault in the solver's own preparation
-of a game cannot hide from it.
+and computes Min's moves itself, so a fault in the solver's own reading of
+a game cannot hide from it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .core import GameGraph, MinWitness, Owner, check_bound, validate_strategy
-from .errors import InvalidSpec, InvalidStrategy, WitnessIncomplete
+from .errors import InvalidSpec, WitnessIncomplete
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ def verify_min_witness(
         if j is not None and (type(j) is not int or not 0 <= j < k):
             raise InvalidSpec(f"death_index[{v}] = {j!r} names none of the {k} strategies")
     for strategy in witness.strategies:
-        if strategy.player is not Owner.MIN:
-            raise InvalidStrategy("expected a Min strategy")
-        validate_strategy(game, strategy)
+        validate_strategy(game, strategy, Owner.MIN)
     if death[vertex] is None:
         raise InvalidSpec(f"vertex {vertex} is not losing; nothing to verify")
     choice = [s.choice for s in witness.strategies]

@@ -234,10 +234,12 @@ def deadline_after(time_limit: float | None):
     return expire
 
 
-def validate_strategy(graph: GameGraph, strategy: PositionalStrategy) -> None:
-    """Check that a strategy is defined on all and only its player's vertices
-    and always picks an actual successor."""
-    player, choice, out = strategy.player, strategy.choice, graph.out_adjacency
+def validate_strategy(graph: GameGraph, strategy: PositionalStrategy, player: Owner) -> None:
+    """Check that a strategy is one of ``player``'s, defined on all and only
+    that player's vertices, and always picks an actual successor."""
+    if strategy.player is not player:
+        raise InvalidStrategy(f"expected a {player.name.capitalize()} strategy")
+    choice, out = strategy.choice, graph.out_adjacency
     owned = set(graph.vertices_of(player))
     if choice.keys() != owned:
         missing, extra = sorted(owned - choice.keys()), sorted(choice.keys() - owned)
@@ -253,8 +255,8 @@ def validate_strategy(graph: GameGraph, strategy: PositionalStrategy) -> None:
 def restrict_to_strategy(graph: GameGraph, strategy: PositionalStrategy) -> GameGraph:
     """Remove every edge from the strategy owner's vertices except the chosen
     one (parallel edges to the chosen successor all survive)."""
-    validate_strategy(graph, strategy)
     player = strategy.player
+    validate_strategy(graph, strategy, player)
     kept = [
         (u, v, w)
         for (u, v, w) in graph.edges

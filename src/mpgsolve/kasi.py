@@ -67,6 +67,7 @@ forest.  Min in general needs memory: her optimal play is the recorded
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
@@ -86,35 +87,12 @@ from .core import (
 )
 from .errors import (
     InvalidSpec,
-    InvalidStrategy,
     InvariantViolation,
     PositiveTransformedEdge,
     PreconditionViolated,
 )
 
-#: Condition (i) is verified by Bellman-Ford, which is cubic-ish; the check
-#: only runs on instances up to this many vertices.
-CYCLE_CHECK_LIMIT = 64
-
-
-class _Prepared:
-    """The game as the solver reads it (see the module docstring).
-
-    ``out`` and ``pred`` are the game's own out- and in-adjacency, the
-    latter listing the game's edge triples ``(v, u, w)`` into each ``u``;
-    ``is_min[v]`` tells whether Min owns ``v``.
-    """
-
-    __slots__ = ("n", "is_min", "out", "pred")
-
-    def __init__(self, game: GameGraph):
-        self.n = game.vertex_count
-        self.out = game.out_adjacency
-        self.pred = game.in_adjacency
-        self.is_min = [o is Owner.MIN for o in game.owners]
-
-
-def _residual(g, pi, v, d):
+def _residual(game, pi, v, d):
     """``(best, u)``: the largest ``w + d(u)`` over the strategy-restricted
     out-edges ``(v, u)`` of ``v``, and the first ``u`` reaching it
     (``(-inf, -1)`` when none does)."""
@@ -122,14 +100,14 @@ def _residual(g, pi, v, d):
         u, w = pi[v]
         return w + d[u], u
     best, arg = NEG_INF, -1
-    for u, w in g.out[v]:
+    for u, w in game.out_adjacency[v]:
         t = w + d[u]
         if t > best:
             best, arg = t, u
     return best, arg
 
 
-def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
+def _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline):
     """The longest-path search of :func:`_dijkstra` and :func:`_repair`.
 
     Settles the entries of ``heap`` in max-priority order and relaxes the
@@ -137,8 +115,8 @@ def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
     ``opened``, updating ``d`` and ``parent`` in place.  The callers differ
     only in how they seed ``d``, ``parent``, ``heap`` and ``opened``.
     """
-    n = g.n
-    pred = g.pred
+    n = game.vertex_count
+    pred = game.in_adjacency
     pops = 0
     while heap:
         item = heappop(heap)
@@ -171,7 +149,7 @@ def _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline):
                 heappush(heap, (pot[x] - cand) * n + x)
 
 
-def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
+def _dijkstra(game, pi, bound, targets, pot, check, deadline=None):
     """Longest admissible paths to ``targets``, by max-priority search.
 
     Runs backward over in-edges with the potential transformation
@@ -190,7 +168,7 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     The search starts from the targets at key 0 and opens every other
     vertex whose potential is finite; one at ``-inf`` is known losing.
     """
-    n = g.n
+    n = game.vertex_count
     d = [NEG_INF] * n
     heap = sorted(targets)  # all at key 0, so already a heap
     opened = bytearray(map(NEG_INF.__ne__, pot))
@@ -198,7 +176,7 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
         d[v] = 0
         opened[v] = 0
     parent = [-1] * n
-    _search(g, pi, bound, pot, d, parent, heap, opened, check, deadline)
+    _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline)
     if check:
         for v in range(n):
             if d[v] > pot[v]:
@@ -206,7 +184,7 @@ def _dijkstra(g, pi, bound, targets, pot, check, deadline=None):
     return d, parent
 
 
-def _repair(g, pi, bound, pot, parent, roots, check, deadline):
+def _repair(game, pi, bound, pot, parent, roots, check, deadline):
     """Incremental counterpart of :func:`_dijkstra`: its result given
     ``pot`` and ``parent``, the values and forest of a previous search whose
     targets or strategy differed only at ``roots``, distinct vertices (see
@@ -215,8 +193,8 @@ def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     region below the roots alone and seeded from the region's edges out of
     it.
     """
-    pred = g.pred
-    n = g.n
+    pred = game.in_adjacency
+    n = game.vertex_count
     d = list(pot)
     parent = list(parent)
     # the region: the roots and every forest descendant of one
@@ -237,63 +215,45 @@ def _repair(g, pi, bound, pot, parent, roots, check, deadline):
     # already holds its seed (a lower bound on its value), others -inf
     heap = []
     for x in region:
-        best, arg = _residual(g, pi, x, d)
+        best, arg = _residual(game, pi, x, d)
         if best >= -bound:
             d[x] = best
             parent[x] = arg
             heap.append((pot[x] - best) * n + x)
     heapify(heap)
-    _search(g, pi, bound, pot, d, parent, heap, in_region, check, deadline)
+    _search(game, pi, bound, pot, d, parent, heap, in_region, check, deadline)
     return d, parent, [x for x in region if d[x] != pot[x]]
 
 
-def _check_entry(g, pi, d_prev):
-    """Debug check of the evaluation entry conditions.
+def _check_entry(game, pi, d_prev):
+    """Debug check of the evaluation entry conditions, at every size.
 
-    (i)  every cycle of the strategy restriction within D minus A is negative
-         (Bellman-Ford on small instances);
-    (ii) d < 0 on D minus A and d(v) >= d(u) + w(v, u) along restricted edges.
+    (ii) d < 0 on D minus A and d(v) >= d(u) + w(v, u) along restricted edges;
+    (i)  every cycle of the strategy restriction within D minus A is negative.
+    Given (ii), such a cycle weighs at most 0, and exactly 0 only when each
+    of its edges is tight, d(v) = d(u) + w(v, u); so (i) holds exactly when
+    the tight restricted edges within D minus A form no cycle (Goldberg,
+    "Scaling algorithms for the shortest paths problem", 1995).
     """
-    def restricted(v):
-        return g.out[v] if pi[v] is None else [pi[v]]
-
-    core = []  # D \ A
-    for v in range(g.n):
-        dv = d_prev[v]
+    tight = {}  # each vertex of D minus A -> the heads of its tight edges
+    for v, dv in enumerate(d_prev):
         if dv == NEG_INF or dv == 0:
             continue
         if dv > 0:
             raise PreconditionViolated("ii", f"d({v}) = {dv} > 0")
-        core.append(v)
-        for u, w in restricted(v):
+        tight[v] = heads = []
+        for u, w in game.out_adjacency[v] if pi[v] is None else [pi[v]]:
             if dv < d_prev[u] + w:
                 raise PreconditionViolated("ii", f"d({v}) < d({u}) + w along edge ({v}, {u})")
-    if len(core) > CYCLE_CHECK_LIMIT:
-        return
-    # Scale weights so that a Bellman-Ford negative cycle in s(e) exists iff
-    # some original cycle has weight >= 0:  s(e) = -(L+1) * w(e) - 1.
-    index = {v: i for i, v in enumerate(core)}
-    L = len(core)
-    edges = []
-    for v in core:
-        for u, w in restricted(v):
-            if u in index:
-                edges.append((index[v], index[u], -(L + 1) * w - 1))
-    dist = [0] * L
-    for _ in range(L):
-        changed = False
-        for a, b, s in edges:
-            if dist[a] + s < dist[b]:
-                dist[b] = dist[a] + s
-                changed = True
-        if not changed:
-            return
-    for a, b, s in edges:
-        if dist[a] + s < dist[b]:
-            raise PreconditionViolated("i", "restriction contains a non-negative cycle")
+            if dv == d_prev[u] + w:
+                heads.append(u)
+    try:
+        TopologicalSorter(tight).prepare()
+    except CycleError as exc:
+        raise PreconditionViolated("i", f"restriction has a zero-weight cycle through {exc.args[1][0]}") from None
 
 
-def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
+def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
     """One strategy evaluation: returns ``(d, parents, pot, fallen)``, the
     values and forest of the last pass, that pass's potentials, and the
     vertices whose value fell below ``d_prev``.  ``B`` ends as the vertices
@@ -304,13 +264,13 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
     forest instead of searching afresh.  Every pass but the last shrinks
     ``B``, so more than ``max(1, n)`` passes mean a broken invariant.
     """
-    n, pred, is_min = g.n, g.pred, g.is_min
+    n, pred = game.vertex_count, game.in_adjacency
     parent, roots = prev or (None, None)
     if roots is None or check:
         # B at entry: the vertices at 0 that keep a non-negative restricted edge
-        targets = [v for v in range(n) if d_prev[v] == 0 and _residual(g, pi, v, d_prev)[0] >= 0]
+        targets = [v for v in range(n) if d_prev[v] == 0 and _residual(game, pi, v, d_prev)[0] >= 0]
     if check:
-        _check_entry(g, pi, d_prev)
+        _check_entry(game, pi, d_prev)
         ref = set(targets)  # check mode's own B, shrunk by each drop set
         # after an improvement, B is the previous B (d_prev = 0) minus the
         # switched vertices, which gave a non-negative edge up
@@ -326,10 +286,10 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
         if roots is None:
-            d, parent = _dijkstra(g, pi, bound, targets, pot, check, deadline)
+            d, parent = _dijkstra(game, pi, bound, targets, pot, check, deadline)
             changed = [v for v in range(n) if d[v] != pot[v]]
         else:
-            d, parent, changed = _repair(g, pi, bound, pot, parent, roots, check, deadline)
+            d, parent, changed = _repair(game, pi, bound, pot, parent, roots, check, deadline)
         fallen.update(changed)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
@@ -338,14 +298,14 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         drop = {
             x for y in changed for x, _, w in pred[y]
             if d[x] == 0 and d[y] + w < 0
-            and (pi[x][0] == y if is_min[x] else _residual(g, pi, x, d)[0] < 0)
+            and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
         }
         if check:
-            if roots is not None and _dijkstra(g, pi, bound, ref, pot, check)[0] != d:
+            if roots is not None and _dijkstra(game, pi, bound, ref, pot, check)[0] != d:
                 raise InvariantViolation("incremental evaluation differs from a full search")
             if ref != {v for v in range(n) if d[v] == 0}:
                 raise InvariantViolation("the vertices at 0 differ from B")
-            if drop != {v for v in ref if _residual(g, pi, v, d)[0] < 0}:
+            if drop != {v for v in ref if _residual(game, pi, v, d)[0] < 0}:
                 raise InvariantViolation("leave test differs from a full scan")
             ref -= drop
         if not drop:
@@ -354,7 +314,7 @@ def _evaluate(g, pi, bound, d_prev, check, prev=None, deadline=None):
         roots = drop
 
 
-def _improve(g, pi, d, tested):
+def _improve(game, pi, d, tested):
     """Switch Min choices violating local optimality among the vertices
     ``tested``; returns the switched vertices.
 
@@ -363,7 +323,7 @@ def _improve(g, pi, d, tested):
     index, at the lightest of that target's parallel edges.
     """
     switched = []
-    out = g.out
+    out = game.out_adjacency
     for v in tested:
         if pi[v] is None:
             continue
@@ -393,9 +353,7 @@ def _initial_pi(game, strategy):
     """Min's choice per vertex, None at Max's, from ``strategy`` once checked
     by :func:`validate_strategy` to choose an edge at every Min vertex and
     nowhere else: her lightest edge to the chosen target."""
-    if strategy.player is not Owner.MIN:
-        raise InvalidStrategy("expected a Min strategy")
-    validate_strategy(game, strategy)
+    validate_strategy(game, strategy, Owner.MIN)
     pi = [None] * game.vertex_count
     for v, u in strategy.choice.items():
         pi[v] = min(e for e in game.out_adjacency[v] if e[0] == u)
@@ -405,9 +363,8 @@ def _initial_pi(game, strategy):
 def _solve(game, bound, check, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
     lowest-indexed successors at their lightest weights."""
-    g = _Prepared(game)
-    n, pred, is_min = g.n, g.pred, g.is_min
-    pi = [min(row) if m else None for row, m in zip(g.out, is_min)]
+    n, pred = game.vertex_count, game.in_adjacency
+    pi = [min(row) if o is Owner.MIN else None for row, o in zip(game.out_adjacency, game.owners)]
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
@@ -418,7 +375,7 @@ def _solve(game, bound, check, time_limit):
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
         strategies.append(_snapshot(pi))
-        d, parents, pot, fallen = _evaluate(g, pi, bound, d_prev, check, prev, deadline)
+        d, parents, pot, fallen = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
         # check mode's full searches have already found d <= d_prev
         if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
             raise InvariantViolation("fallen set differs from a full scan")
@@ -431,9 +388,9 @@ def _solve(game, bound, check, time_limit):
         # From the second improvement on, a Min vertex whose successors all
         # kept their values still passes the previous test: its own value
         # can only have fallen, and a switched vertex fell to its new edge.
-        tested = range(n) if iteration == 0 else {x for y in fallen for x, _, _ in pred[y] if is_min[x]}
-        full = check and sorted(_improve(g, list(pi), d, range(n)))
-        switched = _improve(g, pi, d, tested)
+        tested = range(n) if iteration == 0 else {x for y in fallen for x, _, _ in pred[y] if pi[x] is not None}
+        full = check and sorted(_improve(game, list(pi), d, range(n)))
+        switched = _improve(game, pi, d, tested)
         if check and full != sorted(switched):
             raise InvariantViolation("restricted improvement differs from a full scan")
         if not switched:
@@ -444,12 +401,12 @@ def _solve(game, bound, check, time_limit):
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
 
     # the forest of a full search on the last pass's input, see module docstring
-    full, parents = _dijkstra(g, pi, bound, [v for v in range(n) if d[v] == 0], pot, check, deadline)
+    full, parents = _dijkstra(game, pi, bound, [v for v in range(n) if d[v] == 0], pot, check, deadline)
     if check and full != d:
         raise InvariantViolation("final full search differs from the evaluation")
     return SolveResult(
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
-        max_strategy=_extract_max_strategy(g, d, parents),
+        max_strategy=_extract_max_strategy(game, d, parents),
         min_witness=MinWitness(strategies=strategies, death_index=death),
         final_d=d,
     )
@@ -514,9 +471,8 @@ def evaluate_strategy(
     the one-player restriction to the still-winnable vertices.  ``d_prev``
     needs one entry per vertex."""
     d_prev = _vector(game, d_prev, "d_prev")
-    g = _Prepared(game)
     pi = _initial_pi(game, strategy)
-    return _evaluate(g, pi, check_bound(bound), d_prev, check)[0]
+    return _evaluate(game, pi, check_bound(bound), d_prev, check)[0]
 
 
 def improve_strategy(
@@ -527,13 +483,12 @@ def improve_strategy(
     """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min
     strategy.  ``d`` needs one entry per vertex."""
     d = _vector(game, d, "d")
-    g = _Prepared(game)
     pi = _initial_pi(game, strategy)
-    switched = _improve(g, pi, d, range(g.n))
+    switched = _improve(game, pi, d, range(game.vertex_count))
     return _snapshot(pi), bool(switched)
 
 
-def _extract_max_strategy(g, d, parents) -> PositionalStrategy:
+def _extract_max_strategy(game, d, parents) -> PositionalStrategy:
     """Read Max's optimal positional strategy off the final evaluation state.
 
     Vertices in the final ``B``, those with ``d = 0``, follow the first edge
@@ -542,14 +497,15 @@ def _extract_max_strategy(g, d, parents) -> PositionalStrategy:
     first edge, the choice being irrelevant.
     """
     choice: dict[int, int] = {}
-    for v in range(g.n):
-        if g.is_min[v]:
+    out = game.out_adjacency
+    for v, owner in enumerate(game.owners):
+        if owner is Owner.MIN:
             continue
         dv = d[v]
         if dv == NEG_INF:
-            choice[v] = g.out[v][0][0]
+            choice[v] = out[v][0][0]
         elif dv == 0:
-            for u, w in g.out[v]:
+            for u, w in out[v]:
                 if w + d[u] >= 0:
                     choice[v] = u
                     break

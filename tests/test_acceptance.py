@@ -163,9 +163,9 @@ def test_criterion_06_iteration_budgets(small_corpus):
 
 def test_criterion_07_entry_conditions(small_corpus):
     # the whole small corpus was solved with check=True, so conditions (i)
-    # and (ii) were verified at every evaluation entry (Bellman-Ford runs on
-    # every instance at this size); the manual loop below re-exercises the
-    # checker through the public evaluation operation
+    # and (ii) were verified at every evaluation entry (condition (i) by a
+    # cycle test on the tight edges, at every size); the manual loop below
+    # re-exercises the checker through the public evaluation operation
     entries = sum(len(_manual_run(g, b)) for g, b, _ in small_corpus[:200])
     assert entries >= 200
     _report(7, "entry conditions (i)/(ii)", f"{entries} checked entries")

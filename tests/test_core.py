@@ -26,7 +26,7 @@ from mpgsolve import (
     validate,
     vi_solve,
 )
-from mpgsolve import GenSpec, generate, kasi, parse_game, render_game
+from mpgsolve import GenSpec, generate, parse_game, render_game
 from mpgsolve.core import SUBGAME_SELF_LOOP_WEIGHT
 from conftest import random_game
 
@@ -237,8 +237,6 @@ class TestAdjacencyLayout:
                 self.assert_same_objects(g.in_adjacency[v], heads[v])
 
     def test_solver_reads_the_game_as_built(self):
-        for g in self.games():
-            assert kasi._Prepared(g).pred is g.in_adjacency
         # Min traverses her lightest parallel edge, so every answer on the
         # parallel game is the answer on it without her heavier parallels
         g = self.games()[1]

@@ -41,8 +41,7 @@ def longest(game, bound, targets, potentials, check=False):
     """The solver's longest admissible path weights to ``targets`` on a game
     without Min vertices, where Min's choice is None at every vertex and no
     strategy restricts the search."""
-    g = kasi._Prepared(game)
-    d, _ = kasi._dijkstra(g, [None] * g.n, bound, targets, potentials, check)
+    d, _ = kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials, check)
     return d
 
 
@@ -107,10 +106,21 @@ class TestEvaluateStrategy:
         assert err.value.which == "ii"
 
     def test_entry_condition_i_detected(self):
-        g = GameGraph(1, [MAX], [(0, 0, 0)])
-        with pytest.raises(PreconditionViolated) as err:
-            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1], check=True)
-        assert err.value.which == "i"
+        # zero-weight cycles: a Max self-loop, and a ring of 70 vertices (the
+        # check once skipped cores above 64), alternating Max and Min with
+        # Min's choice on the ring and her other edge into B = {70}
+        ring = GameGraph(71, [MAX, MIN] * 35 + [MAX], [
+            *((v, (v + 1) % 70, 0) for v in range(70)),
+            *((v, 70, -1) for v in range(1, 70, 2)),
+            (70, 70, 0),
+        ])
+        for g, choice, d_prev in [
+            (GameGraph(1, [MAX], [(0, 0, 0)]), {}, [-1]),
+            (ring, {v: (v + 1) % 70 for v in range(1, 70, 2)}, [-1] * 70 + [0]),
+        ]:
+            with pytest.raises(PreconditionViolated) as err:
+                evaluate_strategy(g, 5, PositionalStrategy(MIN, choice), d_prev, check=True)
+            assert err.value.which == "i"
 
 
 class TestValueVectorLength:
@@ -352,6 +362,8 @@ class TestMinWitness:
          InvalidStrategy, "strategy domain mismatch (missing [2], extra [])"),
         (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MAX, {0: 0, 1: 0, 3: 2})], None,
          InvalidStrategy, "expected a Min strategy"),
+        (4, None, None, InvalidSpec, "vertex 4 is not in range(4)"),
+        (2, None, [None, None, 2, 0], InvalidSpec, "death_index[2] = 2 names none of the 2 strategies"),
     ])
     def test_malformed_witness_rejected(self, vertex, strategies, death, error, message):
         from mpgsolve import MinWitness
@@ -537,6 +549,14 @@ class TestStrategyChecks:
             lambda: improve_strategy(g, [0, 0, 0], strategy),
         ]
 
+    def assert_rejected(self, strategy, message):
+        with pytest.raises(InvalidStrategy, match=re.escape(message)):
+            validate_strategy(self.GAME, strategy, MIN)
+        for call in self.entry_points(strategy):
+            with pytest.raises(InvalidStrategy) as err:
+                call()
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("choice, message", [
         ({1: 0}, "strategy domain mismatch (missing [2], extra [])"),
         ({0: 1, 1: 0, 2: 2}, "strategy domain mismatch (missing [], extra [0])"),
@@ -545,10 +565,7 @@ class TestStrategyChecks:
         ({1: 0, 2: 0}, "choice 2 -> 0 is not an edge"),
     ])
     def test_bad_choice_rejected(self, choice, message):
-        strategy = PositionalStrategy(MIN, choice)
-        with pytest.raises(InvalidStrategy, match=re.escape(message)):
-            validate_strategy(self.GAME, strategy)
-        for call in self.entry_points(strategy):
-            with pytest.raises(InvalidStrategy) as err:
-                call()
-            assert str(err.value) == message
+        self.assert_rejected(PositionalStrategy(MIN, choice), message)
+
+    def test_max_strategy_rejected(self):
+        self.assert_rejected(PositionalStrategy(MAX, {0: 1}), "expected a Min strategy")

@@ -106,3 +106,22 @@ def test_every_exported_name_has_a_user():
             used.update(name for name in _used_names(path) if home.get(name) != path.stem)
     unused = [name for name in mpgsolve.__all__ if name not in used]
     assert not unused, f"exported without a user: {unused}"
+
+
+def test_every_import_is_used():
+    # no linter guards the package, so this walk does: every name a module
+    # imports must be read somewhere in it (attribute reads start from a
+    # name too); the package root imports only to re-export
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused = sorted(imported - read)
+        assert not unused, f"{path.stem} imports {unused} without using them"
