@@ -19,7 +19,6 @@ from .core import (
     validate,
 )
 from .errors import (
-    AdjacencyMismatch,
     BudgetExceeded,
     DanglingEdge,
     EmptyKeepSet,
@@ -91,7 +90,6 @@ __all__ = [
     "ValidationError",
     "ZeroOutDegree",
     "DanglingEdge",
-    "AdjacencyMismatch",
     "InvalidStrategy",
     "EmptyKeepSet",
     "OverflowRisk",

@@ -30,7 +30,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
-    AdjacencyMismatch,
     DanglingEdge,
     EmptyKeepSet,
     InvalidSpec,
@@ -88,9 +87,10 @@ class GameGraph:
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
         n = vertex_count
         owners = tuple(owners)
-        edges = tuple(map(tuple, edges))
+        edges = tuple(edges)  # read once (parsing passes a zip) and kept for validate
         out = inc = ()
         try:
+            edges = tuple(map(tuple, edges))  # TypeError at an edge that is not iterable
             out = [[] for _ in range(n)]
             inc = [[] for _ in range(n)]
             for e in edges:
@@ -167,9 +167,9 @@ def validate(graph: GameGraph) -> None:
     """Check the structural invariants, raising on the first violation.
 
     The vertex count and every edge field must be ints, not merely
-    convertible to one.  Raises ZeroOutDegree, DanglingEdge,
-    AdjacencyMismatch or ValidationError itself (their base class), and
-    OverflowRisk when |V| * W leaves the 64-bit envelope.
+    convertible to one.  Raises ZeroOutDegree, DanglingEdge or
+    ValidationError itself (their base class), and OverflowRisk when
+    |V| * W leaves the 64-bit envelope.
     """
     n = graph.vertex_count
     if type(n) is not int:
@@ -184,7 +184,7 @@ def validate(graph: GameGraph) -> None:
     for e in graph.edges:
         try:
             u, v, w = e
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValidationError(f"edge {e!r} is not a triple of ints") from None
         if not type(u) is type(v) is type(w) is int:
             raise ValidationError(f"edge {e!r} is not a triple of ints")
@@ -192,10 +192,6 @@ def validate(graph: GameGraph) -> None:
             raise DanglingEdge(e)
     if not all(graph.out_adjacency):
         raise ZeroOutDegree(graph.out_adjacency.index(()))
-    out_count = sum(map(len, graph.out_adjacency))
-    in_count = sum(map(len, graph.in_adjacency))
-    if not (out_count == in_count == len(graph.edges)):
-        raise AdjacencyMismatch()
     if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
         raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
 

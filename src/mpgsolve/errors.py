@@ -27,11 +27,6 @@ class DanglingEdge(ValidationError):
         self.edge = edge
 
 
-class AdjacencyMismatch(ValidationError):
-    def __init__(self, detail: str = "in/out adjacency lists disagree with the edge list"):
-        super().__init__(detail)
-
-
 class InvalidStrategy(GameError):
     """A positional strategy is not total on its player's vertices or picks a non-successor."""
 

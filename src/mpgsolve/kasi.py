@@ -29,11 +29,8 @@ the roots and reruns the same search on them alone.  There is one search,
 :func:`_search`, with two seedings: a full search (:func:`_dijkstra`)
 starts from ``B`` and opens every vertex not yet known losing, a repair
 (:func:`_repair`) opens the reset subtrees alone and starts from their
-edges into the untouched part.  Ties may leave the repaired forest
-differing from a full search's, so once the loop ends one full search on
-the final ``B``, with the last pass's potentials, rebuilds the very forest
-Max's strategy is read from.  With ``check=True`` every repaired pass is
-compared with a full search.
+edges into the untouched part.  With ``check=True`` every repaired pass
+is compared with a full search.
 
 Outside the searches nothing stores ``B``: it is read off ``d``.  A pass
 gives its targets 0 and every other vertex a negative value, since a vertex
@@ -59,10 +56,10 @@ it.  Max's edges stay as the game lists them: longest paths pick the
 heaviest parallel anyway, and Max's strategy is read off them in
 adjacency order.
 
-Max wins with a single positional strategy, read off the final longest-path
-forest.  Min in general needs memory: her optimal play is the recorded
-*sequence* of positional strategies, replayed by per-vertex death index
-(:func:`checker.verify_min_witness` checks it).
+Max wins with a single positional strategy, read off the final ``d`` alone
+by :func:`_extract_max_strategy`.  Min in general needs memory: her optimal
+play is the recorded *sequence* of positional strategies, replayed by
+per-vertex death index (:func:`checker.verify_min_witness` checks it).
 """
 
 from __future__ import annotations
@@ -254,10 +251,9 @@ def _check_entry(game, pi, d_prev):
 
 
 def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
-    """One strategy evaluation: returns ``(d, parents, pot, fallen)``, the
-    values and forest of the last pass, that pass's potentials, and the
-    vertices whose value fell below ``d_prev``.  ``B`` ends as the vertices
-    with ``d = 0``.
+    """One strategy evaluation: returns ``(d, parents, fallen)``, the
+    values and forest of the last pass and the vertices whose value fell
+    below ``d_prev``.  ``B`` ends as the vertices with ``d = 0``.
 
     ``prev`` is None, or the parents that came with ``d_prev`` plus the Min
     vertices switched since, which lets even the first pass repair the
@@ -309,7 +305,7 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
                 raise InvariantViolation("leave test differs from a full scan")
             ref -= drop
         if not drop:
-            return d, parent, pot, fallen
+            return d, parent, fallen
         pot = d
         roots = drop
 
@@ -375,7 +371,7 @@ def _solve(game, bound, check, time_limit):
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
         strategies.append(_snapshot(pi))
-        d, parents, pot, fallen = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
+        d, parents, fallen = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
         # check mode's full searches have already found d <= d_prev
         if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
             raise InvariantViolation("fallen set differs from a full scan")
@@ -400,13 +396,9 @@ def _solve(game, bound, check, time_limit):
     else:
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
 
-    # the forest of a full search on the last pass's input, see module docstring
-    full, parents = _dijkstra(game, pi, bound, [v for v in range(n) if d[v] == 0], pot, check, deadline)
-    if check and full != d:
-        raise InvariantViolation("final full search differs from the evaluation")
     return SolveResult(
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
-        max_strategy=_extract_max_strategy(game, d, parents),
+        max_strategy=_extract_max_strategy(game, d),
         min_witness=MinWitness(strategies=strategies, death_index=death),
         final_d=d,
     )
@@ -488,33 +480,25 @@ def improve_strategy(
     return _snapshot(pi), bool(switched)
 
 
-def _extract_max_strategy(game, d, parents) -> PositionalStrategy:
-    """Read Max's optimal positional strategy off the final evaluation state.
-
-    Vertices in the final ``B``, those with ``d = 0``, follow the first edge
-    in adjacency order with ``w + d(u) >= 0``; other winnable vertices
-    follow their longest-path forest parent; losing vertices take their
-    first edge, the choice being irrelevant.
+def _extract_max_strategy(game, d) -> PositionalStrategy:
+    """Max's optimal positional strategy, read off the final values ``d``:
+    each Max vertex ``v`` takes its first out-edge ``(u, w)`` with
+    ``w + d(u) >= d(v)``, the first non-negative edge at ``d = 0``, the
+    first edge at ``-inf`` and a tight one in between.  Then ``x = -d`` is
+    an energy progress measure (Brim, Chaloupka, Doyen, Gentilini & Raskin,
+    "Faster algorithms for mean-payoff games", 2011): at the fixpoint no Min
+    switch improves, so every edge out of a finite Min vertex satisfies the
+    same inequality, and along any play energy ``e >= -d(v)`` stays
+    ``e + w >= -d(u)``; truncation at ``b`` keeps it, as ``d >= -b``.
     """
     choice: dict[int, int] = {}
     out = game.out_adjacency
-    for v, owner in enumerate(game.owners):
-        if owner is Owner.MIN:
-            continue
+    for v in game.vertices_of(Owner.MAX):
         dv = d[v]
-        if dv == NEG_INF:
-            choice[v] = out[v][0][0]
-        elif dv == 0:
-            for u, w in out[v]:
-                if w + d[u] >= 0:
-                    choice[v] = u
-                    break
-            else:
-                raise InvariantViolation(f"vertex {v} at 0 kept no non-negative edge")
+        for u, w in out[v]:
+            if w + d[u] >= dv:
+                choice[v] = u
+                break
         else:
-            p = parents[v]
-            if p < 0:
-                raise InvariantViolation(f"winnable vertex {v} missing from the path forest")
-            choice[v] = p
+            raise InvariantViolation(f"vertex {v} has no edge covering d = {dv}")
     return PositionalStrategy(Owner.MAX, choice)
-

@@ -96,8 +96,9 @@ class TestValidate:
          "edge (2, 0, 0) has an endpoint outside the vertex range"),
         ((Owner.MAX,), (0, 1, 1), ValidationError, "1 owner entries for 2 vertices"),
         ((Owner.MAX, Owner.MIN, Owner.MAX), (0, 1, 1), ValidationError, "3 owner entries for 2 vertices"),
+        ((Owner.MAX, Owner.MAX), 5, ValidationError, "edge 5 is not a triple of ints"),
     ], ids=["length-2", "length-4", "bool", "float", "str-owner", "negative-id", "id-out-of-range",
-            "one-owner", "three-owners"])
+            "one-owner", "three-owners", "not-iterable"])
     def test_each_fault_has_its_own_class_and_message(self, owners, edge, error, message):
         with pytest.raises(ValidationError) as err:
             GameGraph(2, owners, [(0, 1, 0), edge, (1, 0, 0)])

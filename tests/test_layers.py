@@ -125,3 +125,24 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused = sorted(imported - read)
         assert not unused, f"{path.stem} imports {unused} without using them"
+
+
+def test_every_private_name_is_used():
+    # a function or class named with one leading underscore is internal, so
+    # some code of the package must read it, or it is left behind
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(defined - read)
+    assert not unused, f"private names without a reader: {unused}"
