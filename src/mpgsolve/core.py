@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -86,13 +87,17 @@ class GameGraph:
 
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
         n = vertex_count
+        for name, value in (("owners", owners), ("edges", edges)):
+            if not isinstance(value, Iterable):
+                raise ValidationError(f"{name} {value!r} is not iterable")
         owners = tuple(owners)
         edges = tuple(edges)  # read once (parsing passes a zip) and kept for validate
         out = inc = ()
         try:
             edges = tuple(map(tuple, edges))  # TypeError at an edge that is not iterable
-            out = [[] for _ in range(n)]
-            inc = [[] for _ in range(n)]
+            if len(owners) == n:  # else validate rejects the count before a row is built
+                out = [[] for _ in range(n)]
+                inc = [[] for _ in range(n)]
             for e in edges:
                 u, v, w = e  # a negative id lands in a row from the end
                 out[u].append((v, w))
@@ -215,12 +220,12 @@ def reduction_bound(graph: GameGraph) -> int:
 
 def deadline_after(time_limit: float | None):
     """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
-    passed from now, or None without a limit.  A NaN limit would never
-    expire, so it raises InvalidSpec."""
+    passed from now, or None without a limit.  A limit that is not a real
+    number, or is NaN and so would never expire, raises InvalidSpec."""
     if time_limit is None:
         return None
-    if time_limit != time_limit:
-        raise InvalidSpec("time limit must be a number, got nan")
+    if not isinstance(time_limit, Real) or time_limit != time_limit:
+        raise InvalidSpec(f"time limit must be a number, got {time_limit!r}")
     at = time.perf_counter() + time_limit
 
     def expire():

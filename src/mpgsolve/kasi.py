@@ -14,8 +14,8 @@ iterates two phases until a fixpoint:
 * *evaluation* solves the one-player game obtained by fixing Min's current
   positional strategy and restricting to the vertices still presumed
   winnable, via repeated longest-path searches to a shrinking ``B``;
-* *improvement* switches Min's choice at every vertex owning an edge
-  ``(v, u)`` with ``d(v) > d(u) + w(v, u)``.
+* *improvement* scans every Min vertex and switches her choice wherever
+  an edge ``(v, u)`` has ``d(v) > d(u) + w(v, u)``.
 
 Evaluation is incremental, after Ramalingam and Reps ("An incremental
 algorithm for a generalization of the shortest-path problem", J. Algorithms
@@ -37,16 +37,12 @@ gives its targets 0 and every other vertex a negative value, since a vertex
 outside ``B`` has no non-negative restricted edge left.  A ``B`` vertex had
 one under the values the pass started from, so it can only lose it along a
 restricted edge into a changed value, and one leave test serves every pass,
-the full first one too: only the ``B`` vertices with such an edge are
-tested.  After an improvement ``B`` is the previous ``B`` minus the
-switched vertices, as only a switch gives up a non-negative edge.  An
-iteration reads only the vertices whose value fell, which the passes
-report.  From the second improvement on, only a Min vertex with an edge
-into a fallen value is tested for switching, and the descent check and the
-death index read the fallen set alone.  With ``check=True`` the entry
-``B``, every pass's leave test and each of these is compared with the full
-scan it replaces.  A heap entry is the integer ``key * n + v``, which
-orders as ``(key, v)`` does.
+the full first one too: it reads only the ``B`` vertices with such an
+edge.  After an improvement ``B`` is the previous ``B`` minus the
+switched vertices, as only a switch gives up a non-negative edge.  With
+``check=True`` the entry ``B`` and every pass's leave test are compared
+with the full scan they replace.  A heap entry is the integer
+``key * n + v``, which orders as ``(key, v)`` does.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially.  Min's choice
@@ -66,6 +62,8 @@ from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import ne
 from typing import Sequence
 
 from .core import (
@@ -251,9 +249,8 @@ def _check_entry(game, pi, d_prev):
 
 
 def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
-    """One strategy evaluation: returns ``(d, parents, fallen)``, the
-    values and forest of the last pass and the vertices whose value fell
-    below ``d_prev``.  ``B`` ends as the vertices with ``d = 0``.
+    """One strategy evaluation: returns ``(d, parents)``, the values and
+    forest of the last pass.  ``B`` ends as the vertices with ``d = 0``.
 
     ``prev`` is None, or the parents that came with ``d_prev`` plus the Min
     vertices switched since, which lets even the first pass repair the
@@ -272,7 +269,6 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
         # switched vertices, which gave a non-negative edge up
         if roots is not None and ref != {v for v in range(n) if d_prev[v] == 0}.difference(roots):
             raise InvariantViolation("candidate set differs from a full scan")
-    fallen = set()
     pot = d_prev
     passes = 0
     while True:
@@ -286,7 +282,6 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
             changed = [v for v in range(n) if d[v] != pot[v]]
         else:
             d, parent, changed = _repair(game, pi, bound, pot, parent, roots, check, deadline)
-        fallen.update(changed)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative; a Min choice is her
@@ -297,7 +292,7 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
             and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
         }
         if check:
-            if roots is not None and _dijkstra(game, pi, bound, ref, pot, check)[0] != d:
+            if roots is not None and _dijkstra(game, pi, bound, ref, pot, check, deadline)[0] != d:
                 raise InvariantViolation("incremental evaluation differs from a full search")
             if ref != {v for v in range(n) if d[v] == 0}:
                 raise InvariantViolation("the vertices at 0 differ from B")
@@ -305,14 +300,14 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
                 raise InvariantViolation("leave test differs from a full scan")
             ref -= drop
         if not drop:
-            return d, parent, fallen
+            return d, parent
         pot = d
         roots = drop
 
 
-def _improve(game, pi, d, tested):
-    """Switch Min choices violating local optimality among the vertices
-    ``tested``; returns the switched vertices.
+def _improve(game, pi, d):
+    """Switch Min's choice at every vertex with an improving edge; returns
+    the switched vertices.
 
     Every out-edge of the game is a candidate, and the smallest
     ``(d(u) + w, u)`` wins: the smallest value, then the lowest target
@@ -320,9 +315,7 @@ def _improve(game, pi, d, tested):
     """
     switched = []
     out = game.out_adjacency
-    for v in tested:
-        if pi[v] is None:
-            continue
+    for v in compress(range(game.vertex_count), pi):  # Min's vertices
         dv = d[v]
         if dv == NEG_INF:
             continue
@@ -359,7 +352,7 @@ def _initial_pi(game, strategy):
 def _solve(game, bound, check, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
     lowest-indexed successors at their lightest weights."""
-    n, pred = game.vertex_count, game.in_adjacency
+    n = game.vertex_count
     pi = [min(row) if o is Owner.MIN else None for row, o in zip(game.out_adjacency, game.owners)]
     d_prev = [0] * n
     strategies: list[PositionalStrategy] = []
@@ -371,24 +364,14 @@ def _solve(game, bound, check, time_limit):
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
         strategies.append(_snapshot(pi))
-        d, parents, fallen = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
-        # check mode's full searches have already found d <= d_prev
-        if check and fallen != {v for v in range(n) if d[v] != d_prev[v]}:
-            raise InvariantViolation("fallen set differs from a full scan")
-        for v in fallen:
-            if d[v] == NEG_INF:
-                death[v] = iteration
-        if iteration > 0 and not fallen:
+        d, parents = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
+        if iteration > 0 and d == d_prev:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
-        # From the second improvement on, a Min vertex whose successors all
-        # kept their values still passes the previous test: its own value
-        # can only have fallen, and a switched vertex fell to its new edge.
-        tested = range(n) if iteration == 0 else {x for y in fallen for x, _, _ in pred[y] if pi[x] is not None}
-        full = check and sorted(_improve(game, list(pi), d, range(n)))
-        switched = _improve(game, pi, d, tested)
-        if check and full != sorted(switched):
-            raise InvariantViolation("restricted improvement differs from a full scan")
+        for v in compress(range(n), map(ne, d, d_prev)):
+            if d[v] == NEG_INF:
+                death[v] = iteration
+        switched = _improve(game, pi, d)
         if not switched:
             break
         prev = (parents, switched)
@@ -476,7 +459,7 @@ def improve_strategy(
     strategy.  ``d`` needs one entry per vertex."""
     d = _vector(game, d, "d")
     pi = _initial_pi(game, strategy)
-    switched = _improve(game, pi, d, range(game.vertex_count))
+    switched = _improve(game, pi, d)
     return _snapshot(pi), bool(switched)
 
 

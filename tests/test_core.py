@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -104,6 +105,28 @@ class TestValidate:
             GameGraph(2, owners, [(0, 1, 0), edge, (1, 0, 0)])
         assert type(err.value) is error
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, [Owner.MAX], 5), "edges 5 is not iterable"),
+        ((1, [Owner.MAX], None), "edges None is not iterable"),
+        ((1, 7, [(0, 0, 0)]), "owners 7 is not iterable"),
+    ], ids=["edges-int", "edges-none", "owners-int"])
+    def test_whole_argument_faults(self, args, message):
+        with pytest.raises(ValidationError) as err:
+            GameGraph(*args)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+
+    def test_owner_count_rejected_before_any_row(self):
+        # a million rows per direction would take over 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="1 owner entries for 1000000 vertices"):
+                GameGraph(10**6, [Owner.MAX], [(0, 0, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_weight_envelope(self):
         # |V| * W must stay below 2**63, however the game is built

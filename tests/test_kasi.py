@@ -26,7 +26,7 @@ from mpgsolve import (
     winning_sign,
 )
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
-from mpgsolve.core import validate_strategy
+from mpgsolve.core import reduction_bound, validate_strategy
 from mpgsolve.instances import one_vertex_game
 from conftest import random_game
 
@@ -457,6 +457,40 @@ class TestBudgets:
             solve_lwub(g, n, time_limit=100)
         assert pops <= core.DEADLINE_STRIDE < n // 4
 
+    def test_time_limit_interrupts_check_modes_reference_search(self, monkeypatch):
+        # The chain of the test above plus a -> b -> c -> n - 1, with a's
+        # 0-edge going negative in the first pass: the second pass repairs
+        # a alone, and check mode compares it with a full search of n pops
+        # that ends the solve.  The clock ticks once per heap pop.
+        n = 20000
+        a, b, c = n + 2, n + 1, n
+        g = GameGraph(n + 3, [MAX] * (n + 3), [(v, v + 1, -1) for v in range(n - 1)]
+                      + [(n - 1, n - 1, 0), (c, n - 1, -1), (b, c, -1), (a, b, 0)])
+        pops = 0
+
+        def counting_pop(heap):
+            nonlocal pops
+            pops += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(kasi, "heappop", counting_pop)
+        monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: pops))
+        assert solve_lwub(g, n, check=True).lwub[a] == 2
+        assert pops >= 2 * n  # the first pass and the reference search
+        pops = 0
+        with pytest.raises(TimeLimitExceeded):
+            solve_lwub(g, n, check=True, time_limit=n + n // 4)
+        assert pops <= n + n // 4 + core.DEADLINE_STRIDE
+
+    @pytest.mark.parametrize("call", [
+        lambda g: solve_lb(g, time_limit="1"),
+        lambda g: solve_lwub(g, 3, time_limit=(1,)),
+        lambda g: vi_solve(g, 3, time_limit=[1]),
+    ], ids=["str", "tuple", "list"])
+    def test_time_limit_that_is_not_a_number(self, call):
+        with pytest.raises(InvalidSpec, match="time limit must be a number"):
+            call(memory_game())
+
     def test_iteration_counts_within_budget(self, rng):
         for _ in range(100):
             g = random_game(rng)
@@ -478,6 +512,34 @@ _C11_SHAPE = GenSpec(family="sprand", n=2000, edge_factor=2.0, seed=0,
 _TORUS = GenSpec(family="torus", rows=30, cols=30, seed=0, weight_lo=-5, weight_hi=5)
 # 29 parallel pairs, 13 of them at Min vertices; the other pinned games hold one in all
 _PARALLEL = GenSpec(family="sprand", n=300, edge_factor=8.0, seed=2, weight_lo=-6, weight_hi=6)
+
+
+class TestWitnessReplay:
+    def test_strategies_and_death_index_replay(self, rng):
+        # each recorded strategy, evaluated from the previous values and
+        # improved, gives the next; the last improves no further and gives
+        # final_d; death_index[v] is the first evaluation sending v to -inf
+        c11 = generate(_C11_SHAPE)
+        cases = [(c11, reduction_bound(c11)), (c11, 20)]
+        cases += [(g, reduction_bound(g)) for g in (generate(_TORUS), generate(_PARALLEL))]
+        cases += [(random_game(rng), rng.randint(0, 10)) for _ in range(100)]
+        for g, bound in cases:
+            res = solve_lwub(g, bound)
+            strategies = res.min_witness.strategies
+            d = [0] * g.vertex_count
+            death = [None] * g.vertex_count
+            for k, strategy in enumerate(strategies):
+                d = evaluate_strategy(g, bound, strategy, d)
+                for v, dv in enumerate(d):
+                    if dv == NEG and death[v] is None:
+                        death[v] = k
+                improved, switched = improve_strategy(g, d, strategy)
+                if k + 1 < len(strategies):
+                    assert switched and improved == strategies[k + 1]
+                else:
+                    assert not switched
+            assert d == res.final_d
+            assert res.min_witness.death_index == death
 
 
 class TestPinnedOutputs:
