@@ -171,7 +171,7 @@ def build_parser():
     p.add_argument("--bound", type=int, default=None, help="truncation bound (lwub only)")
     p.add_argument("--output", default=None, help="result file (default stdout)")
     p.add_argument("--emit-strategy", default=None, help="write the optimal Max strategy here")
-    p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here")
+    p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here (one block for lb)")
     p.add_argument("--check", action="store_true", help="enable debug invariant checking (kasi only)")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)

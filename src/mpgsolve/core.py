@@ -147,8 +147,11 @@ class PositionalStrategy:
 class MinWitness:
     """Min's optimal play: the strategy sequence plus per-vertex death index.
 
-    ``death_index[v]`` is the index of the evaluation that drove ``d(v)`` to
-    minus infinity, or None while the vertex stays winnable for Max.
+    ``death_index[v]`` names the block Min starts from at ``v``: the index
+    of the evaluation that drove ``d(v)`` to minus infinity, or None while
+    the vertex stays winnable for Max.  An lb witness, or one at a bound of
+    at least ``(|V|-1) * W``, is one block, and the index is 0 at every
+    losing vertex.
     """
 
     strategies: list[PositionalStrategy]
@@ -161,11 +164,7 @@ class SolveResult:
     max_strategy: PositionalStrategy
     min_witness: MinWitness
     final_d: list  # int or float('-inf') per vertex
-
-    @property
-    def iterations(self) -> int:
-        """Improvement iterations: the solve records one Min strategy in each."""
-        return len(self.min_witness.strategies)
+    iterations: int  # strategy evaluations, one per improvement iteration
 
 
 def validate(graph: GameGraph) -> None:

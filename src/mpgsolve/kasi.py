@@ -53,9 +53,14 @@ heaviest parallel anyway, and Max's strategy is read off them in
 adjacency order.
 
 Max wins with a single positional strategy, read off the final ``d`` alone
-by :func:`_extract_max_strategy`.  Min in general needs memory: her optimal
-play is the recorded *sequence* of positional strategies, replayed by
-per-vertex death index (:func:`checker.verify_min_witness` checks it).
+by :func:`_extract_max_strategy`.  Min's optimal play is a sequence of
+positional strategies replayed by per-vertex death index
+(:func:`checker.verify_min_witness` checks it).  Below the bound
+``(n - 1) * W`` she may need memory, and the solve records her strategy
+of every iteration.  At a bound of at least ``(n - 1) * W``, every lb
+solve among them, her last strategy alone is optimal (:func:`_solve`
+proves it), so the witness is that one block, with death index 0 at
+every losing vertex.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ from .core import (
     SolveResult,
     check_bound,
     deadline_after,
+    max_abs_weight,
     reduction_bound,
     validate_strategy,
 )
@@ -349,12 +355,56 @@ def _initial_pi(game, strategy):
     return pi
 
 
+def _check_trap(game, pi, d):
+    """Debug check of the one-block witness's premise (see :func:`_solve`):
+    every Max edge out of a vertex at -inf, and Min's choice at one, leads
+    to a vertex at -inf."""
+    for v, dv in enumerate(d):
+        if dv != NEG_INF:
+            continue
+        for u, _ in game.out_adjacency[v] if pi[v] is None else [pi[v]]:
+            if d[u] != NEG_INF:
+                raise InvariantViolation(f"edge ({v}, {u}) leaves the -inf set")
+
+
 def _solve(game, bound, check, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
-    lowest-indexed successors at their lightest weights."""
+    lowest-indexed successors at their lightest weights.
+
+    At a bound of at least ``(n - 1) * W`` Min's last strategy ``sigma``
+    alone is optimal, so the solve keeps no earlier one.  Write ``D_i`` for
+    the vertices at -inf after evaluation ``i`` and ``pi_i`` for the
+    strategy it evaluated; ``D_i`` only grows.
+
+    * A finite energy of a one-player game on ``n`` vertices with weights
+      in ``[-W, W]`` is at most ``(n - 1) * W``, so at such a bound the
+      truncation changes no finite answer.
+    * Evaluation ``i`` solves the one-player game of ``pi_i`` with
+      ``D_{i-1}`` as losing sinks.  A vertex it sends to -inf has no
+      restricted successor of finite value, for through that successor its
+      energy would be finite, hence within the bound.
+    * So ``D_i`` is closed under ``pi_i``'s restricted moves: ``D_i minus
+      D_{i-1}`` by the step above, and ``D_{i-1}`` because it was closed
+      under ``pi_{i-1}``, which :func:`_improve` left unchanged at -inf.
+    * By induction Max loses from every vertex of ``D_i`` against
+      ``pi_i``: a play from ``D_i minus D_{i-1}`` loses there or enters
+      the closed ``D_{i-1}``, where ``pi_i`` plays as ``pi_{i-1}`` did.
+    * The last evaluation is thus ``sigma``'s one-player game with a
+      losing trap as sinks, and its values are Max's energies against
+      ``sigma``: Min needs no other strategy, and every losing vertex
+      starts, and stays, on block 0.
+
+    Below that bound the second step fails, which is why Min needs memory
+    there (see :func:`instances.memory_game`).  ``check=True`` tests the
+    closure of the final -inf set (:func:`_check_trap`).  Energy games are
+    positionally determined (Chakrabarti, de Alfaro, Henzinger & Stoelinga,
+    EMSOFT 2003); this shows that KASI's own last strategy is such a
+    positional strategy.
+    """
     n = game.vertex_count
     pi = [min(row) if o is Owner.MIN else None for row, o in zip(game.out_adjacency, game.owners)]
     d_prev = [0] * n
+    one_block = bound >= (n - 1) * max_abs_weight(game)
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
     prev = None
@@ -363,14 +413,16 @@ def _solve(game, bound, check, time_limit):
     max_main = n * (bound + 1) + 1
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
-        strategies.append(_snapshot(pi))
+        if not one_block:
+            strategies.append(_snapshot(pi))
         d, parents = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
         if iteration > 0 and d == d_prev:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
-        for v in compress(range(n), map(ne, d, d_prev)):
-            if d[v] == NEG_INF:
-                death[v] = iteration
+        if not one_block:
+            for v in compress(range(n), map(ne, d, d_prev)):
+                if d[v] == NEG_INF:
+                    death[v] = iteration
         switched = _improve(game, pi, d)
         if not switched:
             break
@@ -378,12 +430,18 @@ def _solve(game, bound, check, time_limit):
         d_prev = d
     else:
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
+    if one_block:
+        if check:
+            _check_trap(game, pi, d)
+        strategies = [_snapshot(pi)]
+        death = [0 if dv == NEG_INF else None for dv in d]
 
     return SolveResult(
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
         max_strategy=_extract_max_strategy(game, d),
         min_witness=MinWitness(strategies=strategies, death_index=death),
         final_d=d,
+        iterations=iteration + 1,
     )
 
 

@@ -4,10 +4,12 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
 
 from mpgsolve import (
     GameGraph,
     InvalidStrategy,
+    InvariantViolation,
     Owner,
     PositionalStrategy,
     PositiveTransformedEdge,
@@ -29,6 +31,7 @@ from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, gen
 from mpgsolve.core import reduction_bound, validate_strategy
 from mpgsolve.instances import one_vertex_game
 from conftest import random_game
+from test_properties import SETTINGS, games
 
 INF = float("inf")
 NEG = float("-inf")
@@ -172,9 +175,14 @@ class TestImproveStrategy:
         # and in a solve, from the lowest target 1, on weights alone
         g = GameGraph(4, [MIN, MAX, MAX, MAX],
                       [(0, 3, -2), (0, 2, -2), (0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)])
+        # at bound 10 >= (n - 1) * W = 6 the witness keeps the last strategy
+        # alone, at bound 5 the whole sequence
         res = solve_lwub(g, 10, check=True)
-        assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
+        assert [s.choice for s in res.min_witness.strategies] == [{0: 2}]
         assert res.lwub == oracle_lwub(g, 10) == [2, 0, 0, 0]
+        res = solve_lwub(g, 5, check=True)
+        assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
+        assert res.lwub == oracle_lwub(g, 5) == [2, 0, 0, 0]
 
     def test_switch_takes_the_lightest_parallel_edge(self):
         # target 2 is reached at -1 and, listed second, -5; at -5 it ties
@@ -407,6 +415,55 @@ class TestMinWitness:
             verify_min_witness(g, 3, broken, 0, 3)
 
 
+class TestOneBlockWitness:
+    """At a bound of at least ``(n - 1) * W``, every lb solve among them,
+    Min's last strategy alone is optimal (``kasi._solve`` proves it), so the
+    witness is that one block, with death index 0 at every losing vertex."""
+
+    @staticmethod
+    def losing_vertices_checked(g):
+        res = solve_lb(g, check=True)
+        witness = res.min_witness
+        assert len(witness.strategies) == 1
+        bound = reduction_bound(g)
+        assert vi_solve(restrict_to_strategy(g, witness.strategies[0]), bound) == res.lwub
+        losing = [v for v in range(g.vertex_count) if res.lwub[v] == INF]
+        assert witness.death_index == [0 if v in losing else None for v in range(g.vertex_count)]
+        for v in losing:
+            verify_min_witness(g, bound, witness, v, bound)
+        return len(losing)
+
+    def test_random_games(self, rng):
+        losing = sum(self.losing_vertices_checked(random_game(rng, n_max=8, w_max=5)) for _ in range(300))
+        assert losing > 100  # the corpus really exercised losing vertices
+
+    @SETTINGS
+    @given(games() | games(split=True))
+    def test_hypothesis_games(self, game):
+        self.losing_vertices_checked(game)
+
+    def test_lwub_below_the_bound_keeps_memory(self):
+        g = memory_game()
+        b = MEMORY_GAME_BOUND
+        assert b < (g.vertex_count - 1) * core.max_abs_weight(g) == 39
+        res = solve_lwub(g, b, check=True)
+        strategies = res.min_witness.strategies
+        assert len(strategies) > 1
+        for strategy in strategies:  # neither block alone beats vertex 2
+            assert vi_solve(restrict_to_strategy(g, strategy), b)[2] != INF
+        verify_min_witness(g, b, res.min_witness, 2, b)
+
+    def test_check_mode_tests_the_trap(self):
+        # Max's vertex 0 has an edge into the finite vertex 1, and Min's
+        # vertex 2 chooses either 1 or her own -1 loop
+        g = GameGraph(3, [MAX, MAX, MIN], [(0, 0, -1), (0, 1, 0), (1, 1, 0), (2, 1, 0), (2, 2, -1)])
+        kasi._check_trap(g, [None, None, (2, -1)], [0, 0, NEG])
+        for pi, d, edge in [([None, None, (2, -1)], [NEG, 0, NEG], "(0, 1)"),
+                            ([None, None, (1, 0)], [0, 0, NEG], "(2, 1)")]:
+            with pytest.raises(InvariantViolation, match=re.escape(f"edge {edge} leaves the -inf set")):
+                kasi._check_trap(g, pi, d)
+
+
 class TestEnergyBounds:
     def test_overflow_guard(self):
         # |V| * W = 3 * 2**61 is inside the envelope, (|V|-1) * W * |V| is not
@@ -549,14 +606,18 @@ class TestPinnedOutputs:
     lightest parallel weight up per edge.  The strategy digests of the
     first three cases were recorded again when Max's choice came to be
     read off the final values instead of a last full search's forest; the
-    two differ only where ``-inf < d < 0``."""
+    two differ only where ``-inf < d < 0``.  The witness digests of the
+    three lb cases were recorded again when an lb witness became one
+    block: each is the digest of ``"k 0\n"`` plus the last block of the
+    sequence the solver recorded before, so the one block is the same last
+    strategy."""
 
     @pytest.mark.parametrize("case, solve, want", [
         ("c11-lb", lambda: solve_lb(generate(_C11_SHAPE)),
          (
             "fb2f6991dfd38f97c591634bf1590f7b1505e8e7efac56b54225268c0d51e8dc",
             "e5f7e82e6b8750ea7e44c52e0e46f935e5cdb5abf86f82838c88a277c3eb025c",
-            "18f1341efe6558dd4ae7e00516970d2bb37cd932af7a6cdcf34e6a2d11cea133",
+            "7377c696293f199e6414981404da222999c323fabbdc38cc4985058ade220805",
         )),
         ("c11-b20", lambda: solve_lwub(generate(_C11_SHAPE), 20),
          (
@@ -568,7 +629,7 @@ class TestPinnedOutputs:
          (
             "9ff0a77d9b46ae58b4ba4c485f4e5bb960adb831032c2123c3e9d0dcd9ea6fbc",
             "1861c41006b2440c43207ce92f0156e9219c6e748de8e7e3b4a45a69dc6f4202",
-            "8641a801483ed874fd4beb407205044934052473fe2849f7dba69bb9428be6aa",
+            "12110ef03460fcc458a560979af16e99a6af69d8354f8a97ce7659095b3aac83",
         )),
         ("memory", lambda: solve_lwub(memory_game(), MEMORY_GAME_BOUND),
          (
@@ -580,7 +641,7 @@ class TestPinnedOutputs:
          (
             "927fae8c8ae20779afd260e9eaf0be2ef9a1dbaf27bc25b3091eab118bca65db",
             "15126d7aff5624f80a43bcd1eee0dce514c1fe9943c298afe5e4cbcfefe63d28",
-            "e6c653624f1e37ae1f610c3a8eb0ab757e4c4105918ae37c5ee7a147a2ce019e",
+            "e9c6fede4ed5c866b820fcf994ea1e9cb8819383cb8aa5f62d75e37a4dfaa8a9",
         )),
         ("parallel-b10", lambda: solve_lwub(generate(_PARALLEL), 10),
          (
@@ -618,6 +679,16 @@ class TestHeapPops:
 
     def test_lwub_pop_count(self, monkeypatch):
         assert self.pops(monkeypatch, lambda g: solve_lwub(g, 20), generate(_C11_SHAPE)) == 5949
+
+
+class TestIterations:
+    """Improvement iterations of three pinned lb solves, counted by the solve
+    itself: the number of strategies the solver recorded when an lb witness
+    kept one block per iteration."""
+
+    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 6), (_TORUS, 12), (_PARALLEL, 4)])
+    def test_iteration_counts(self, spec, want):
+        assert solve_lb(generate(spec)).iterations == want
 
 
 class TestStrategyChecks:
