@@ -236,10 +236,14 @@ def deadline_after(time_limit: float | None):
 
 def validate_strategy(graph: GameGraph, strategy: PositionalStrategy, player: Owner) -> None:
     """Check that a strategy is one of ``player``'s, defined on all and only
-    that player's vertices, and always picks an actual successor."""
+    that player's vertices, and always picks an actual successor.  Vertex
+    ids and targets must be ints, not merely equal to one."""
     if strategy.player is not player:
         raise InvalidStrategy(f"expected a {player.name.capitalize()} strategy")
     choice, out = strategy.choice, graph.out_adjacency
+    for v, u in choice.items():
+        if not type(v) is type(u) is int:
+            raise InvalidStrategy(f"choice {v!r} -> {u!r} is not a pair of ints")
     owned = set(graph.vertices_of(player))
     if choice.keys() != owned:
         missing, extra = sorted(owned - choice.keys()), sorted(choice.keys() - owned)
@@ -271,7 +275,12 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
     Vertices are re-indexed densely in increasing original order.  A kept
     vertex whose successors were all dropped receives a self-loop of weight
     ``SUBGAME_SELF_LOOP_WEIGHT`` so it is losing for Max at every bound.
+    Every entry of ``keep`` must be an int, not merely equal to one.
     """
+    keep = list(keep)
+    for v in keep:
+        if type(v) is not int:
+            raise ValidationError(f"keep set contains {v!r}, which is not an int")
     kept = sorted(set(keep))
     if not kept:
         raise EmptyKeepSet("cannot induce a subgame on the empty vertex set")

@@ -128,11 +128,10 @@ def _add_cycles(spec: GenSpec, ids: list[int], edges, structure, draw) -> None:
             edges.append((cyc[i], cyc[(i + 1) % k], draw()))
 
 
-def gen_torus(spec: GenSpec) -> GameGraph:
-    """Grid with wrap-around: every cell points right and down."""
-    rows, cols = spec.rows, spec.cols
-    if rows < 2 or cols < 2:
-        raise InvalidSpec("torus needs rows >= 2 and cols >= 2")
+def _wrap_grid(spec: GenSpec, rows: int, cols: int, steps) -> GameGraph:
+    """A ``rows`` by ``cols`` grid with wrap-around in both dimensions: each
+    cell, in row-major order, has one edge per ``(dr, dc)`` step, plus the
+    spec's added cycles."""
     n = rows * cols
     structure = _rng(spec, _PHASE_STRUCTURE)
     draw = _weight_draw(spec)
@@ -141,31 +140,25 @@ def gen_torus(spec: GenSpec) -> GameGraph:
     for r in range(rows):
         for c in range(cols):
             v = ids[r * cols + c]
-            edges.append((v, ids[r * cols + (c + 1) % cols], draw()))
-            edges.append((v, ids[((r + 1) % rows) * cols + c], draw()))
+            for dr, dc in steps:
+                edges.append((v, ids[(r + dr) % rows * cols + (c + dc) % cols], draw()))
     _add_cycles(spec, ids, edges, structure, draw)
     return GameGraph(n, _draw_owners(spec, n), edges)
+
+
+def gen_torus(spec: GenSpec) -> GameGraph:
+    """Grid with wrap-around: every cell points right and down."""
+    if spec.rows < 2 or spec.cols < 2:
+        raise InvalidSpec("torus needs rows >= 2 and cols >= 2")
+    return _wrap_grid(spec, spec.rows, spec.cols, ((0, 1), (1, 0)))
 
 
 def gen_layered(spec: GenSpec) -> GameGraph:
     """Layered approximation: layer l feeds layer l+1 (wrapping), each vertex
     hitting the same and the next column of the next layer."""
-    layers, width = spec.layers, spec.width
-    if layers < 2 or width < 1:
+    if spec.layers < 2 or spec.width < 1:
         raise InvalidSpec("layered needs layers >= 2 and width >= 1")
-    n = layers * width
-    structure = _rng(spec, _PHASE_STRUCTURE)
-    draw = _weight_draw(spec)
-    ids = list(range(n))
-    edges = []
-    for l in range(layers):
-        for i in range(width):
-            v = ids[l * width + i]
-            nl = ((l + 1) % layers) * width
-            edges.append((v, ids[nl + i], draw()))
-            edges.append((v, ids[nl + (i + 1) % width], draw()))
-    _add_cycles(spec, ids, edges, structure, draw)
-    return GameGraph(n, _draw_owners(spec, n), edges)
+    return _wrap_grid(spec, spec.layers, spec.width, ((1, 0), (1, 1)))
 
 
 def _gen_collect(spec: GenSpec) -> GameGraph:

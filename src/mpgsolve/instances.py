@@ -41,11 +41,6 @@ def memory_game() -> GameGraph:
     return GameGraph(4, owners, edges)
 
 
-def one_vertex_game(loop_weight: int, owner: Owner = Owner.MAX) -> GameGraph:
-    """The minimal legal game: a single vertex with one self-loop."""
-    return GameGraph(1, [owner], [(0, 0, loop_weight)])
-
-
 def two_vertex_duel() -> GameGraph:
     """Max vertex 0 (self-loop 0, escape -3) against Min vertex 1 (-3 back).
 

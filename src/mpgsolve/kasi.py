@@ -19,30 +19,29 @@ iterates two phases until a fixpoint:
 
 Evaluation is incremental, after Ramalingam and Reps ("An incremental
 algorithm for a generalization of the shortest-path problem", J. Algorithms
-1996).  Only the first pass of a solve searches the whole graph (and the
-first of :func:`evaluate_strategy`, which gets no forest).  Within a solve
-values only fall, so a vertex whose longest-path forest path avoids every
-*root* keeps that path and its value; the roots are the vertices that just
-left ``B`` and, in the first pass after an improvement, the Min vertices
-that switched.  Each later pass therefore resets the forest subtrees below
-the roots and reruns the same search on them alone.  There is one search,
-:func:`_search`, with two seedings: a full search (:func:`_dijkstra`)
-starts from ``B`` and opens every vertex not yet known losing, a repair
-(:func:`_repair`) opens the reset subtrees alone and starts from their
-edges into the untouched part.  With ``check=True`` every repaired pass
-is compared with a full search.
+1996): every pass is a repair (:func:`_repair`).  Within a solve values
+only fall, so a vertex whose longest-path forest path avoids every *root*
+keeps that path and its value; the roots are the vertices that just left
+``B`` and, in the first pass after an improvement, the Min vertices that
+switched.  A pass resets the forest subtrees below the roots and runs the
+one search, :func:`_search`, on them alone, seeded from their edges into
+the untouched part.  With no forest (a solve's first evaluation, and every
+one of :func:`evaluate_strategy`) the roots are all finite vertices outside
+``B``, and the untouched part is ``B`` at 0 and the known-losing vertices
+at -inf, whose values are final.  With ``check=True`` every pass is
+compared with :func:`_dijkstra`, the same search started from ``B``.
 
 Outside the searches nothing stores ``B``: it is read off ``d``.  A pass
 gives its targets 0 and every other vertex a negative value, since a vertex
 outside ``B`` has no non-negative restricted edge left.  A ``B`` vertex had
 one under the values the pass started from, so it can only lose it along a
-restricted edge into a changed value, and one leave test serves every pass,
-the full first one too: it reads only the ``B`` vertices with such an
-edge.  After an improvement ``B`` is the previous ``B`` minus the
-switched vertices, as only a switch gives up a non-negative edge.  With
-``check=True`` the entry ``B`` and every pass's leave test are compared
-with the full scan they replace.  A heap entry is the integer
-``key * n + v``, which orders as ``(key, v)`` does.
+restricted edge into a changed value, and one leave test serves every
+pass: it reads only the ``B`` vertices with such an edge.  After an
+improvement ``B`` is the previous ``B`` minus the switched vertices, as
+only a switch gives up a non-negative edge.  With ``check=True`` the entry
+``B`` and every pass's leave test are compared with the full scan they
+replace.  A heap entry is the integer ``key * n + v``, which orders as
+``(key, v)`` does.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially.  Min's choice
@@ -150,7 +149,7 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline):
                 heappush(heap, (pot[x] - cand) * n + x)
 
 
-def _dijkstra(game, pi, bound, targets, pot, check, deadline=None):
+def _dijkstra(game, pi, bound, targets, pot, deadline=None):
     """Longest admissible paths to ``targets``, by max-priority search.
 
     Runs backward over in-edges with the potential transformation
@@ -168,6 +167,8 @@ def _dijkstra(game, pi, bound, targets, pot, check, deadline=None):
 
     The search starts from the targets at key 0 and opens every other
     vertex whose potential is finite; one at ``-inf`` is known losing.
+    As check mode's reference for every pass, it always checks the
+    transformed weights and that no value exceeds its potential.
     """
     n = game.vertex_count
     d = [NEG_INF] * n
@@ -177,27 +178,27 @@ def _dijkstra(game, pi, bound, targets, pot, check, deadline=None):
         d[v] = 0
         opened[v] = 0
     parent = [-1] * n
-    _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline)
-    if check:
-        for v in range(n):
-            if d[v] > pot[v]:
-                raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
+    _search(game, pi, bound, pot, d, parent, heap, opened, True, deadline)
+    for v in range(n):
+        if d[v] > pot[v]:
+            raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
     return d, parent
 
 
 def _repair(game, pi, bound, pot, parent, roots, check, deadline):
-    """Incremental counterpart of :func:`_dijkstra`: its result given
-    ``pot`` and ``parent``, the values and forest of a previous search whose
-    targets or strategy differed only at ``roots``, distinct vertices (see
-    the module docstring).  Returns ``(d, parent, changed)``, ``changed`` listing the
-    vertices whose value fell.  The search is :func:`_search`, opened on the
-    region below the roots alone and seeded from the region's edges out of
-    it.
+    """One evaluation pass: :func:`_dijkstra`'s values given ``pot`` and
+    ``parent``, the values and forest of a previous pass whose targets or
+    strategy differed only at ``roots``, distinct vertices, or an empty
+    forest with every finite vertex outside ``B`` a root (see the module
+    docstring).  Values outside the region below the roots must be final.
+    Returns ``(d, parent, changed)``, ``changed`` listing the vertices
+    whose value fell; ``parent`` is updated in place.  The search is
+    :func:`_search`, opened on the region alone and seeded from the
+    region's edges out of it.
     """
     pred = game.in_adjacency
     n = game.vertex_count
     d = list(pot)
-    parent = list(parent)
     # the region: the roots and every forest descendant of one
     in_region = bytearray(n)
     region = sorted(roots)  # the seeding below depends on the region's order
@@ -258,22 +259,24 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
     """One strategy evaluation: returns ``(d, parents)``, the values and
     forest of the last pass.  ``B`` ends as the vertices with ``d = 0``.
 
-    ``prev`` is None, or the parents that came with ``d_prev`` plus the Min
-    vertices switched since, which lets even the first pass repair the
-    forest instead of searching afresh.  Every pass but the last shrinks
-    ``B``, so more than ``max(1, n)`` passes mean a broken invariant.
+    Every pass is a :func:`_repair`.  ``prev`` is None, or the parents
+    that came with ``d_prev`` plus the Min vertices switched since; with
+    None the first pass starts from an empty forest (see the module
+    docstring).  Every pass but the last shrinks ``B``, so more than
+    ``max(1, n)`` passes mean a broken invariant.
     """
     n, pred = game.vertex_count, game.in_adjacency
-    parent, roots = prev or (None, None)
-    if roots is None or check:
+    if prev is None or check:
         # B at entry: the vertices at 0 that keep a non-negative restricted edge
-        targets = [v for v in range(n) if d_prev[v] == 0 and _residual(game, pi, v, d_prev)[0] >= 0]
+        entry = {v for v in range(n) if d_prev[v] == 0 and _residual(game, pi, v, d_prev)[0] >= 0}
+    # with no forest, every finite vertex outside B is a root
+    parent, roots = prev or ([-1] * n, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry])
     if check:
         _check_entry(game, pi, d_prev)
-        ref = set(targets)  # check mode's own B, shrunk by each drop set
+        ref = entry  # check mode's own B, shrunk by each drop set
         # after an improvement, B is the previous B (d_prev = 0) minus the
         # switched vertices, which gave a non-negative edge up
-        if roots is not None and ref != {v for v in range(n) if d_prev[v] == 0}.difference(roots):
+        if prev is not None and ref != {v for v in range(n) if d_prev[v] == 0}.difference(roots):
             raise InvariantViolation("candidate set differs from a full scan")
     pot = d_prev
     passes = 0
@@ -283,11 +286,7 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
         passes += 1
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
-        if roots is None:
-            d, parent = _dijkstra(game, pi, bound, targets, pot, check, deadline)
-            changed = [v for v in range(n) if d[v] != pot[v]]
-        else:
-            d, parent, changed = _repair(game, pi, bound, pot, parent, roots, check, deadline)
+        d, parent, changed = _repair(game, pi, bound, pot, parent, roots, check, deadline)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative; a Min choice is her
@@ -298,7 +297,7 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
             and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
         }
         if check:
-            if roots is not None and _dijkstra(game, pi, bound, ref, pot, check, deadline)[0] != d:
+            if _dijkstra(game, pi, bound, ref, pot, deadline)[0] != d:
                 raise InvariantViolation("incremental evaluation differs from a full search")
             if ref != {v for v in range(n) if d[v] == 0}:
                 raise InvariantViolation("the vertices at 0 differ from B")

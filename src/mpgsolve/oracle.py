@@ -1,12 +1,6 @@
-"""Brute-force ground truth for small instances.
-
-Two independent oracles:
-
-* an energy-state safety game over (vertex, clamped energy) pairs whose
-  greatest fixpoint yields the bounded energy requirement directly from its
-  definition, and
-* full enumeration of both players' positional strategies for the sign of
-  the mean value, sound because positional strategies suffice for both.
+"""Brute-force ground truth for small instances: an energy-state safety
+game over (vertex, clamped energy) pairs whose greatest fixpoint yields the
+bounded energy requirement directly from its definition.
 
 No bookkeeping for the "no segment below -b" condition is needed: energy is
 clamped at b, and from a clamped state a segment of weight below -b drives
@@ -17,17 +11,12 @@ These are exactly the two losing conditions of the bounded problem.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .core import INF, GameGraph, Owner, check_bound, reduction_bound
 from .errors import BudgetExceeded
 
 
 #: Default ceiling on |V| * (b + 1) states for the safety fixpoint.
 DEFAULT_STATE_BUDGET = 10**6
-
-#: Default ceiling on |Max strategies| * |Min strategies| for enumeration.
-DEFAULT_PAIR_BUDGET = 10**5
 
 
 def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDGET) -> list:
@@ -111,91 +100,3 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
 def oracle_lb(game: GameGraph, *, budget: int = DEFAULT_STATE_BUDGET) -> list:
     """Unbounded energy requirement via the reduction bound (|V|-1) * W."""
     return oracle_lwub(game, reduction_bound(game), budget=budget)
-
-
-def _positional_choices(game: GameGraph, player: Owner) -> tuple[list[int], list[list[int]]]:
-    vertices = game.vertices_of(player)
-    options = [sorted({u for u, _ in game.out_adjacency[v]}) for v in vertices]
-    return vertices, options
-
-
-def _cycle_totals(n, nxt, wnxt):
-    """Total weight of the cycle eventually reached from each vertex of a
-    functional graph (its sign equals the sign of the cycle mean)."""
-    totals: list = [None] * n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for s in range(n):
-        if state[s]:
-            continue
-        path = []
-        v = s
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = nxt[v]
-        if state[v] == 1:
-            # found a fresh cycle; add up its edge weights
-            i = path.index(v)
-            total = sum(wnxt[u] for u in path[i:])
-            for u in path[i:]:
-                totals[u] = total
-                state[u] = 2
-            tail = path[:i]
-        else:
-            tail = path
-        for u in reversed(tail):
-            totals[u] = totals[nxt[u]]
-            state[u] = 2
-    return totals
-
-
-def oracle_value_sign(
-    game: GameGraph, *, budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sign partition of the mean value by strategy enumeration.
-
-    A vertex has value >= 0 iff some Max positional strategy forces, against
-    every Min positional strategy, a non-negative cycle in the doubly
-    restricted functional graph.
-    """
-    n = game.vertex_count
-    max_vs, max_opts = _positional_choices(game, Owner.MAX)
-    min_vs, min_opts = _positional_choices(game, Owner.MIN)
-    pairs = 1
-    for opts in max_opts + min_opts:
-        pairs *= len(opts)
-        if pairs > budget:
-            raise BudgetExceeded(pairs, budget, what="strategy pairs")
-
-    # Max traverses the heaviest parallel edge, Min the lightest.
-    best_w = [dict() for _ in range(n)]
-    for v in range(n):
-        take_max = game.owners[v] is Owner.MAX
-        for u, w in game.out_adjacency[v]:
-            cur = best_w[v].get(u)
-            if cur is None or (w > cur if take_max else w < cur):
-                best_w[v][u] = w
-
-    nonneg = [False] * n
-    nxt = [0] * n
-    wnxt = [0] * n
-    for sigma in product(*max_opts):
-        for v, u in zip(max_vs, sigma):
-            nxt[v] = u
-            wnxt[v] = best_w[v][u]
-        good = [True] * n
-        for pi in product(*min_opts):
-            for v, u in zip(min_vs, pi):
-                nxt[v] = u
-                wnxt[v] = best_w[v][u]
-            totals = _cycle_totals(n, nxt, wnxt)
-            for v in range(n):
-                if totals[v] < 0:
-                    good[v] = False
-        for v in range(n):
-            if good[v]:
-                nonneg[v] = True
-    return (
-        tuple(v for v in range(n) if nonneg[v]),
-        tuple(v for v in range(n) if not nonneg[v]),
-    )

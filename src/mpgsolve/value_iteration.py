@@ -18,29 +18,13 @@ Max predecessor keeps the number of out-edges that still justify its value,
 and rescans its out-edges only when that number reaches zero.  Values never
 fall and ``told <= d`` holds throughout, so no value passes the least
 fixpoint, and an empty worklist leaves every vertex consistent.
-:func:`vi_step` is one synchronous round, the textbook iteration, kept as
-the reference that the k-step semantics are tested on; both reach the same
-fixpoint.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .core import DEADLINE_STRIDE, INF, GameGraph, Owner, check_bound, deadline_after
-
-
-@dataclass
-class ViState:
-    """Current vector plus the vertices whose value may still increase."""
-
-    d: list
-    dirty: set[int] = field(default_factory=set)
-
-    @classmethod
-    def initial(cls, game: GameGraph) -> "ViState":
-        return cls(d=[0] * game.vertex_count, dirty=set(range(game.vertex_count)))
 
 
 def _value(out_v, d, bound, minimize):
@@ -59,31 +43,6 @@ def _value(out_v, d, bound, minimize):
     if best is None or best > bound:
         return INF
     return best
-
-
-def vi_step(game: GameGraph, bound: int, state: ViState) -> ViState:
-    """One synchronous update round over the dirty vertices.
-
-    Vertices outside the dirty set cannot change (no successor moved last
-    round), so iterating from the all-dirty initial state reproduces the
-    plain simultaneous iteration exactly.
-    """
-    out = game.out_adjacency
-    inc = game.in_adjacency
-    is_max = [o is Owner.MAX for o in game.owners]
-    d = state.d
-    new_d = list(d)
-    grew = []
-    for v in state.dirty:
-        x = _value(out[v], d, bound, is_max[v])
-        if x > d[v]:
-            new_d[v] = x
-            grew.append(v)
-    dirty = set()
-    for v in grew:
-        for u, _, _ in inc[v]:
-            dirty.add(u)
-    return ViState(d=new_d, dirty=dirty)
 
 
 def vi_solve(

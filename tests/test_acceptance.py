@@ -31,9 +31,9 @@ from mpgsolve import (
 )
 from mpgsolve.core import max_abs_weight
 from mpgsolve.errors import TimeLimitExceeded
-from mpgsolve.oracle import oracle_value_sign
 from mpgsolve.cli import main as cli_main
 from conftest import random_game
+from reference import oracle_value_sign
 
 INF = float("inf")
 

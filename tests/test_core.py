@@ -233,6 +233,11 @@ class TestInducedSubgame:
             with pytest.raises(ValidationError, match=f"keep set contains out-of-range vertex {v}"):
                 induced_subgame(chain_abc(), [0, v])
 
+    @pytest.mark.parametrize("keep", [[0.0, 1], ["a"], [True, 2], [1, True]])
+    def test_keep_entry_that_is_not_an_int(self, keep):
+        with pytest.raises(ValidationError, match="which is not an int"):
+            induced_subgame(chain_abc(), keep)
+
 
 class TestAdjacencyLayout:
     """``in_adjacency`` holds the game's own edge triples, one per edge in

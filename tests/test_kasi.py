@@ -29,8 +29,8 @@ from mpgsolve import (
 )
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
 from mpgsolve.core import reduction_bound, validate_strategy
-from mpgsolve.instances import one_vertex_game
 from conftest import random_game
+from reference import one_vertex_game
 from test_properties import SETTINGS, games
 
 INF = float("inf")
@@ -40,11 +40,11 @@ MAX = Owner.MAX
 MIN = Owner.MIN
 
 
-def longest(game, bound, targets, potentials, check=False):
+def longest(game, bound, targets, potentials):
     """The solver's longest admissible path weights to ``targets`` on a game
     without Min vertices, where Min's choice is None at every vertex and no
     strategy restricts the search."""
-    d, _ = kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials, check)
+    d, _ = kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials)
     return d
 
 
@@ -75,7 +75,7 @@ class TestDijkstraLongest:
     def test_positive_transformed_edge_detected(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, 1), (1, 1, 0)])
         with pytest.raises(PositiveTransformedEdge):
-            longest(g, 5, {1}, [0, 0], check=True)
+            longest(g, 5, {1}, [0, 0])
 
 
 def zero_strategy(g):
@@ -508,7 +508,7 @@ class TestBudgets:
         monkeypatch.setattr(kasi, "heappop", counting_pop)
         monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: pops))
         assert solve_lwub(g, n).lwub[0] == n - 1
-        assert pops >= n  # the evaluation
+        assert pops >= n - 1  # the evaluation
         pops = 0
         with pytest.raises(TimeLimitExceeded):
             solve_lwub(g, n, time_limit=100)
@@ -673,12 +673,12 @@ class TestHeapPops:
         solve(game)
         return pops
 
-    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 8003), (_TORUS, 4428), (_PARALLEL, 466)])
+    @pytest.mark.parametrize("spec, want", [(_C11_SHAPE, 6806), (_TORUS, 3812), (_PARALLEL, 236)])
     def test_pop_counts(self, monkeypatch, spec, want):
         assert self.pops(monkeypatch, solve_lb, generate(spec)) == want
 
     def test_lwub_pop_count(self, monkeypatch):
-        assert self.pops(monkeypatch, lambda g: solve_lwub(g, 20), generate(_C11_SHAPE)) == 5949
+        assert self.pops(monkeypatch, lambda g: solve_lwub(g, 20), generate(_C11_SHAPE)) == 4752
 
 
 class TestIterations:
@@ -719,6 +719,10 @@ class TestStrategyChecks:
         ({1: 0, 2: 2, 7: 0}, "strategy domain mismatch (missing [], extra [7])"),
         ({1: 1, 2: 2}, "choice 1 -> 1 is not an edge"),
         ({1: 0, 2: 0}, "choice 2 -> 0 is not an edge"),
+        ({True: 0, 2: 2}, "choice True -> 0 is not a pair of ints"),
+        ({1: 0, 2.0: 2}, "choice 2.0 -> 2 is not a pair of ints"),
+        ({1: 0, 2: 2.0}, "choice 2 -> 2.0 is not a pair of ints"),
+        ({1: 0, 2: 2, "x": 0, 7: 0}, "choice 'x' -> 0 is not a pair of ints"),
     ])
     def test_bad_choice_rejected(self, choice, message):
         self.assert_rejected(PositionalStrategy(MIN, choice), message)

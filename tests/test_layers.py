@@ -146,3 +146,27 @@ def test_every_private_name_is_used():
     }
     unused = sorted(defined - read)
     assert not unused, f"private names without a reader: {unused}"
+
+
+def test_every_public_name_has_a_user():
+    # a public module-level function or class of the package needs a reader
+    # in the package (its own module included), a demo or a non-test file
+    # of the benchmark; tests and the re-export do not count, so a helper
+    # that only tests read lives under tests/ instead
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    read.update(*(_used_names(p) for p in users if not p.stem.startswith("test_")))
+    unused = sorted(defined - read)
+    assert not unused, f"public names without a user: {unused}"

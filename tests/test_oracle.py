@@ -9,9 +9,8 @@ from mpgsolve import (
     oracle_lwub,
     winning_sign,
 )
-from mpgsolve.instances import one_vertex_game
-from mpgsolve.oracle import oracle_value_sign
 from conftest import random_game
+from reference import one_vertex_game, oracle_value_sign
 
 INF = float("inf")
 MAX, MIN = Owner.MAX, Owner.MIN

@@ -12,9 +12,8 @@ from mpgsolve import (
 )
 from mpgsolve import core
 from mpgsolve.errors import TimeLimitExceeded
-from mpgsolve.instances import one_vertex_game
-from mpgsolve.value_iteration import ViState, vi_step
 from conftest import random_game
+from reference import ViState, one_vertex_game, vi_step
 
 INF = float("inf")
 MAX, MIN = Owner.MAX, Owner.MIN
