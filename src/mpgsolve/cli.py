@@ -134,6 +134,8 @@ def cmd_verify(args) -> int:
         raise InvalidSpec(f"--w-max must be >= 0, got {args.w_max}")
     if args.trials < 0:
         raise InvalidSpec(f"--trials must be >= 0, got {args.trials}")
+    if args.budget < 0:
+        raise InvalidSpec(f"--budget must be >= 0, got {args.budget}")
     rng = random.Random(args.seed)
     budget = args.budget
     for trial in range(args.trials):
@@ -171,7 +173,8 @@ def build_parser():
     p.add_argument("--bound", type=int, default=None, help="truncation bound (lwub only)")
     p.add_argument("--output", default=None, help="result file (default stdout)")
     p.add_argument("--emit-strategy", default=None, help="write the optimal Max strategy here")
-    p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here (one block for lb)")
+    p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here: her last strategy in full, "
+                   "each earlier one as its differences from the next (one block for lb)")
     p.add_argument("--check", action="store_true", help="enable debug invariant checking (kasi only)")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)

@@ -151,7 +151,9 @@ class MinWitness:
     of the evaluation that drove ``d(v)`` to minus infinity, or None while
     the vertex stays winnable for Max.  An lb witness, or one at a bound of
     at least ``(|V|-1) * W``, is one block, and the index is 0 at every
-    losing vertex.
+    losing vertex.  Every strategy is held in full, on the same vertices;
+    ``formats.render_witness`` writes the last in full and each earlier one
+    as its differences from the next.
     """
 
     strategies: list[PositionalStrategy]
@@ -220,10 +222,11 @@ def reduction_bound(graph: GameGraph) -> int:
 def deadline_after(time_limit: float | None):
     """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
     passed from now, or None without a limit.  A limit that is not a real
-    number, or is NaN and so would never expire, raises InvalidSpec."""
+    number, is a bool, or is NaN and so would never expire, raises
+    InvalidSpec."""
     if time_limit is None:
         return None
-    if not isinstance(time_limit, Real) or time_limit != time_limit:
+    if not isinstance(time_limit, Real) or isinstance(time_limit, bool) or time_limit != time_limit:
         raise InvalidSpec(f"time limit must be a number, got {time_limit!r}")
     at = time.perf_counter() + time_limit
 

@@ -18,7 +18,7 @@ import re
 from typing import Sequence
 
 from .core import INF, GameGraph, MinWitness, Owner, PositionalStrategy
-from .errors import InvariantViolation, ParseError
+from .errors import InvalidStrategy, InvariantViolation, ParseError
 
 INF_TOKEN = "inf"
 
@@ -181,9 +181,21 @@ def render_strategy(strategy: PositionalStrategy) -> str:
 
 
 def render_witness(witness: MinWitness) -> str:
-    """Ordered strategy blocks separated by 'k <index>' lines."""
+    """Min's strategies as blocks introduced by ``k <index>`` lines, each
+    choice written once: the last block holds the last strategy in full,
+    and each earlier block ``j`` only the vertices, sorted by id, whose
+    choice in strategy ``j`` differs from strategy ``j + 1``, with their
+    choice in ``j``.  Strategy ``j`` is block ``j`` laid over strategy
+    ``j + 1``.  Raises InvalidStrategy when two strategies cover different
+    vertices, as their blocks could not be laid over each other."""
+    choices = [s.choice for s in witness.strategies]
+    if any(c.keys() != choices[-1].keys() for c in choices[:-1]):
+        raise InvalidStrategy("witness strategies cover different vertices")
+    domain = sorted(choices[-1]) if choices else []
+    columns = [list(map(c.__getitem__, domain)) for c in choices]
     parts = []
-    for i, strategy in enumerate(witness.strategies):
-        parts.append(f"k {i}\n")
-        parts.append(render_strategy(strategy))
+    # the last strategy is compared with none, so its block is written in full
+    for j, (col, nxt) in enumerate(zip(columns, columns[1:] + [[None] * len(domain)])):
+        parts.append(f"k {j}\n")
+        parts += [f"s {v} {u}\n" for v, u, t in zip(domain, col, nxt) if u != t]
     return "".join(parts)

@@ -168,7 +168,8 @@ def _dijkstra(game, pi, bound, targets, pot, deadline=None):
     The search starts from the targets at key 0 and opens every other
     vertex whose potential is finite; one at ``-inf`` is known losing.
     As check mode's reference for every pass, it always checks the
-    transformed weights and that no value exceeds its potential.
+    transformed weights and that no value exceeds its potential, and it
+    returns ``d`` alone: no reader needs the forest of its search.
     """
     n = game.vertex_count
     d = [NEG_INF] * n
@@ -177,12 +178,11 @@ def _dijkstra(game, pi, bound, targets, pot, deadline=None):
     for v in heap:
         d[v] = 0
         opened[v] = 0
-    parent = [-1] * n
-    _search(game, pi, bound, pot, d, parent, heap, opened, True, deadline)
+    _search(game, pi, bound, pot, d, [-1] * n, heap, opened, True, deadline)
     for v in range(n):
         if d[v] > pot[v]:
             raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
-    return d, parent
+    return d
 
 
 def _repair(game, pi, bound, pot, parent, roots, check, deadline):
@@ -297,7 +297,7 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
             and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
         }
         if check:
-            if _dijkstra(game, pi, bound, ref, pot, deadline)[0] != d:
+            if _dijkstra(game, pi, bound, ref, pot, deadline) != d:
                 raise InvariantViolation("incremental evaluation differs from a full search")
             if ref != {v for v in range(n) if d[v] == 0}:
                 raise InvariantViolation("the vertices at 0 differ from B")

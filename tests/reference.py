@@ -7,7 +7,9 @@
 * :func:`vi_step`, one synchronous value-iteration round over a
   :class:`ViState`, the textbook iteration on which the k-step semantics
   are tested; iterated, it reaches ``vi_solve``'s fixpoint;
-* :func:`one_vertex_game`, the minimal legal game.
+* :func:`one_vertex_game`, the minimal legal game;
+* :func:`expand_witness`, a rendered witness with every block in full,
+  the format before earlier blocks came to hold only their differences.
 """
 
 from __future__ import annotations
@@ -152,3 +154,22 @@ def vi_step(game: GameGraph, bound: int, state: ViState) -> ViState:
 def one_vertex_game(loop_weight: int, owner: Owner = Owner.MAX) -> GameGraph:
     """The minimal legal game: a single vertex with one self-loop."""
     return GameGraph(1, [owner], [(0, 0, loop_weight)])
+
+
+def expand_witness(text: str) -> str:
+    """The witness ``text`` with every block in full: the last block is
+    read as a whole strategy, and each earlier block is laid over the
+    expanded block after it."""
+    blocks = []
+    for line in text.splitlines():
+        if line.startswith("k "):
+            blocks.append([])
+        else:
+            blocks[-1].append(line)
+    choice, full = {}, []
+    for lines in reversed(blocks):
+        for line in lines:
+            _, v, u = line.split()
+            choice[int(v)] = int(u)
+        full.append("".join(f"s {v} {u}\n" for v, u in sorted(choice.items())))
+    return "".join(f"k {j}\n{body}" for j, body in enumerate(reversed(full)))

@@ -216,6 +216,13 @@ class TestVerify:
         assert "budget exceeded" in captured.err
         assert captured.out == ""
 
+    def test_negative_budget_exits_2(self, capsys):
+        # rejected up front, not read as a budget that every game exceeds
+        assert main(["verify", "--budget", "-1", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--budget must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_disagreement_is_minimized_and_exits_1(self, capsys, monkeypatch):
         # a value iteration that always answers -1 disagrees on every game,
         # so the shrinking deletes vertices down to a single one

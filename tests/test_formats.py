@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mpgsolve import (
     GameGraph,
     GenSpec,
+    InvalidStrategy,
+    MinWitness,
     OverflowRisk,
     Owner,
     ParseError,
@@ -23,6 +25,9 @@ from mpgsolve import (
     solve_lwub,
 )
 from mpgsolve import formats
+from mpgsolve.core import reduction_bound
+from conftest import random_game
+from reference import expand_witness
 
 INF = float("inf")
 
@@ -257,3 +262,45 @@ class TestWitnessFormat:
         assert lines.count("k 0") == 1 and lines.count("k 1") == 1
         assert lines[0] == "k 0"
         assert any(line.startswith("s 2 ") for line in lines)
+
+    def test_earlier_blocks_hold_the_differences(self):
+        # FORMAT.md's example: Min owns 1, 3 and 6; strategy 0 differs from 1
+        # at vertex 1, and strategy 1 from 2 at vertices 3 and 6
+        sequence = [{1: 4, 3: 5, 6: 0}, {1: 2, 3: 5, 6: 0}, {1: 2, 3: 7, 6: 8}]
+        witness = MinWitness([PositionalStrategy(Owner.MIN, c) for c in sequence], [None] * 7)
+        text = render_witness(witness)
+        assert text.splitlines() == ["k 0", "s 1 4", "k 1", "s 3 5", "s 6 0", "k 2", "s 1 2", "s 3 7", "s 6 8"]
+        assert expand_witness(text) == _full_blocks(witness)
+
+    def test_round_trip_below_the_reduction_bound(self):
+        rng = random.Random(20240917)
+        multi = 0
+        for _ in range(300):
+            g = random_game(rng, n_max=8)
+            if reduction_bound(g) == 0:
+                continue
+            witness = solve_lwub(g, rng.randrange(reduction_bound(g))).min_witness
+            text = render_witness(witness)
+            assert expand_witness(text) == _full_blocks(witness)
+            blocks = text.split("k ")[1:]
+            # each iteration but the last switched a vertex
+            assert all(block.count("\n") > 1 for block in blocks[:-1])
+            multi += len(blocks) > 1
+        assert multi > 50  # the corpus really exercised switch lists
+
+    @pytest.mark.parametrize("sequence", [
+        [{1: 4, 3: 5}, {1: 2, 3: 5, 6: 0}],
+        [{1: 4, 3: 5, 6: 0}, {1: 2, 3: 5}],
+        [{1: 4, 3: 5, 7: 0}, {1: 2, 3: 5, 6: 0}],
+        [{1: 2, 3: 5, 6: 0}, {1: 2, 6: 0}, {1: 2, 3: 5, 6: 0}],
+    ], ids=["missing", "extra", "other", "middle"])
+    def test_blocks_on_different_vertices_rejected(self, sequence):
+        witness = MinWitness([PositionalStrategy(Owner.MIN, c) for c in sequence], [None] * 8)
+        with pytest.raises(InvalidStrategy, match="witness strategies cover different vertices"):
+            render_witness(witness)
+
+
+def _full_blocks(witness):
+    """The witness with every strategy in full, as ``render_witness`` wrote
+    it before earlier blocks came to hold only their differences."""
+    return "".join(f"k {j}\n{render_strategy(s)}" for j, s in enumerate(witness.strategies))

@@ -30,7 +30,7 @@ from mpgsolve import (
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
 from mpgsolve.core import reduction_bound, validate_strategy
 from conftest import random_game
-from reference import one_vertex_game
+from reference import expand_witness, one_vertex_game
 from test_properties import SETTINGS, games
 
 INF = float("inf")
@@ -44,8 +44,7 @@ def longest(game, bound, targets, potentials):
     """The solver's longest admissible path weights to ``targets`` on a game
     without Min vertices, where Min's choice is None at every vertex and no
     strategy restricts the search."""
-    d, _ = kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials)
-    return d
+    return kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials)
 
 
 class TestDijkstraLongest:
@@ -548,6 +547,13 @@ class TestBudgets:
         with pytest.raises(InvalidSpec, match="time limit must be a number"):
             call(memory_game())
 
+    @pytest.mark.parametrize("limit", [True, False])
+    def test_time_limit_that_is_a_bool(self, limit):
+        # not a limit of 1 s or 0 s
+        for call in (lambda g: solve_lb(g, time_limit=limit), lambda g: vi_solve(g, 3, time_limit=limit)):
+            with pytest.raises(InvalidSpec, match=f"time limit must be a number, got {limit}"):
+                call(memory_game())
+
     def test_iteration_counts_within_budget(self, rng):
         for _ in range(100):
             g = random_game(rng)
@@ -610,7 +616,10 @@ class TestPinnedOutputs:
     three lb cases were recorded again when an lb witness became one
     block: each is the digest of ``"k 0\n"`` plus the last block of the
     sequence the solver recorded before, so the one block is the same last
-    strategy."""
+    strategy.  The witness digests of ``c11-b20`` and ``parallel-b10`` were
+    recorded again when each earlier block came to hold only its
+    differences from the next; the full-block text of every case is pinned
+    apart, by :meth:`test_expanded_witness_unchanged`."""
 
     @pytest.mark.parametrize("case, solve, want", [
         ("c11-lb", lambda: solve_lb(generate(_C11_SHAPE)),
@@ -623,7 +632,7 @@ class TestPinnedOutputs:
          (
             "162f54e26b428423d9ef8c80941b720535090648ff19201f820e53f44da64932",
             "492545bf7c102b2c6b122d1b254749c0ec689ee19a429ecb1c27edeacfeb8b77",
-            "6ae64d24ef18efe6a500752cdc9a3048a8ce11c60135057882898775b5cf8666",
+            "2777a91b9b98ea8a8cb1a57b899b5a6c46f43b361f49c4f6573a531a199cb6da",
         )),
         ("torus-lb", lambda: solve_lb(generate(_TORUS)),
          (
@@ -647,11 +656,31 @@ class TestPinnedOutputs:
          (
             "927fae8c8ae20779afd260e9eaf0be2ef9a1dbaf27bc25b3091eab118bca65db",
             "15126d7aff5624f80a43bcd1eee0dce514c1fe9943c298afe5e4cbcfefe63d28",
-            "8bf2ea2b36da05b75902551bcdd58c8f0324ba6a694189f55c73847d40a7742b",
+            "34cfd9db444adf97ec5c3e43243fdc85d8552c0986d9f0e3ceecc8c4708eef0a",
         )),
     ])
     def test_outputs_unchanged(self, case, solve, want):
         assert _digests(solve()) == want
+
+    # the witness digests of the full-block format, before earlier blocks
+    # came to hold only their differences from the next
+    @pytest.mark.parametrize("case, solve, want", [
+        ("c11-lb", lambda: solve_lb(generate(_C11_SHAPE)),
+         "7377c696293f199e6414981404da222999c323fabbdc38cc4985058ade220805"),
+        ("c11-b20", lambda: solve_lwub(generate(_C11_SHAPE), 20),
+         "6ae64d24ef18efe6a500752cdc9a3048a8ce11c60135057882898775b5cf8666"),
+        ("torus-lb", lambda: solve_lb(generate(_TORUS)),
+         "12110ef03460fcc458a560979af16e99a6af69d8354f8a97ce7659095b3aac83"),
+        ("memory", lambda: solve_lwub(memory_game(), MEMORY_GAME_BOUND),
+         "2bea3b3a8fd8798debde95c643138cd6b45f1103cefd84b72daaac2ab13ed07e"),
+        ("parallel-lb", lambda: solve_lb(generate(_PARALLEL)),
+         "e9c6fede4ed5c866b820fcf994ea1e9cb8819383cb8aa5f62d75e37a4dfaa8a9"),
+        ("parallel-b10", lambda: solve_lwub(generate(_PARALLEL), 10),
+         "8bf2ea2b36da05b75902551bcdd58c8f0324ba6a694189f55c73847d40a7742b"),
+    ])
+    def test_expanded_witness_unchanged(self, case, solve, want):
+        text = expand_witness(formats.render_witness(solve().min_witness))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 class TestHeapPops:
