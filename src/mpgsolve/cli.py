@@ -126,18 +126,11 @@ def _small_spec(rng: random.Random, family: str, n_max: int, w_max: int) -> GenS
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 1:
-        raise InvalidSpec(f"--n-max must be >= 1, got {args.n_max}")
-    if args.bound_max < 0:
-        raise InvalidSpec(f"--bound-max must be >= 0, got {args.bound_max}")
-    if args.w_max < 0:
-        raise InvalidSpec(f"--w-max must be >= 0, got {args.w_max}")
-    if args.trials < 0:
-        raise InvalidSpec(f"--trials must be >= 0, got {args.trials}")
-    if args.budget < 0:
-        raise InvalidSpec(f"--budget must be >= 0, got {args.budget}")
+    for flag, least in (("n_max", 1), ("bound_max", 0), ("w_max", 0), ("trials", 0), ("budget", 0)):
+        value = getattr(args, flag)
+        if value < least:
+            raise InvalidSpec(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
     rng = random.Random(args.seed)
-    budget = args.budget
     for trial in range(args.trials):
         graph = generate(_small_spec(rng, rng.choice(list(FAMILIES)), args.n_max, args.w_max))
         # cut to at most n_max vertices, which leaves most games without
@@ -145,12 +138,12 @@ def cmd_verify(args) -> int:
         size = min(graph.vertex_count, rng.randint(1, args.n_max))
         graph = induced_subgame(graph, rng.sample(range(graph.vertex_count), size))
         bound = rng.randint(0, args.bound_max)
-        disagreement = _verify_one(graph, bound, budget)
+        disagreement = _verify_one(graph, bound, args.budget)
         if disagreement is not None:
-            shrunk = _shrink(graph, bound, budget)
+            shrunk = _shrink(graph, bound, args.budget)
             print(f"disagreement at trial {trial} (bound {bound}); minimized instance:")
             sys.stdout.write(formats.render_game(shrunk))
-            want, got, via_vi = _verify_one(shrunk, bound, budget) or disagreement
+            want, got, via_vi = _verify_one(shrunk, bound, args.budget) or disagreement
             print(f"oracle: {want}")
             print(f"kasi:   {got}")
             print(f"vi:     {via_vi}")
@@ -193,7 +186,7 @@ def build_parser():
     p.add_argument("--w-max", type=int, default=4,
                    help="weight range [-w, w] of the sprand, torus and layered games")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=oracle.DEFAULT_STATE_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     return parser

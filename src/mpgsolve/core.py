@@ -221,11 +221,11 @@ def reduction_bound(graph: GameGraph) -> int:
 
 def deadline_after(time_limit: float | None):
     """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
-    passed from now, or None without a limit.  A limit that is not a real
-    number, is a bool, or is NaN and so would never expire, raises
-    InvalidSpec."""
+    passed from now; without a limit, one that does nothing.  A limit that
+    is not a real number, is a bool, or is NaN and so would never expire,
+    raises InvalidSpec."""
     if time_limit is None:
-        return None
+        return lambda: None
     if not isinstance(time_limit, Real) or isinstance(time_limit, bool) or time_limit != time_limit:
         raise InvalidSpec(f"time limit must be a number, got {time_limit!r}")
     at = time.perf_counter() + time_limit

@@ -42,7 +42,7 @@ class OverflowRisk(GameError):
 class PositiveTransformedEdge(GameError):
     """A relaxed edge had positive weight under the potential transformation.
 
-    This signals a broken invariant upstream; it never fires on valid runs.
+    No solve raises it, only evaluate_strategy on a ``d_prev`` breaking (ii).
     """
 
 

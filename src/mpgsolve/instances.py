@@ -54,10 +54,11 @@ def two_vertex_duel() -> GameGraph:
 def find_balancing_shift(spec: GenSpec, lo: int, hi: int) -> int:
     """Smallest shift in [lo, hi] whose instance has both value signs.
 
-    Larger shifts push more vertices to negative value, so the negative
-    class appears monotonically; binary search finds the frontier, then the
-    neighbourhood is scanned in case the frontier jumps straight from
-    all-non-negative to all-negative.  Desk-scale instances only.
+    A ``sprand``, ``torus`` or ``layered`` game draws the same weights less
+    the shift at every shift, so each mean value falls by exactly the shift;
+    the other families ignore it.  So the negative class only grows and the
+    non-negative one only shrinks: the least shift with a negative vertex,
+    found by binary search, is the one candidate.  Desk-scale only.
     """
     if lo > hi:
         raise InvalidSpec("empty shift range")
@@ -74,8 +75,7 @@ def find_balancing_shift(spec: GenSpec, lo: int, hi: int) -> int:
             b = mid
         else:
             a = mid + 1
-    for shift in range(max(lo, a - 1), min(hi, a + 1) + 1):
-        nonneg, neg = classes(shift)
-        if nonneg and neg:
-            return shift
+    nonneg, neg = classes(a)
+    if nonneg and neg:
+        return a
     raise InvalidSpec(f"no shift in [{lo}, {hi}] yields both winning classes")

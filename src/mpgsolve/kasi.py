@@ -107,26 +107,29 @@ def _residual(game, pi, v, d):
     return best, arg
 
 
-def _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline):
+def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
     """The longest-path search of :func:`_dijkstra` and :func:`_repair`.
 
     Settles the entries of ``heap`` in max-priority order and relaxes the
     restricted in-edges of each settled vertex into the vertices marked in
     ``opened``, updating ``d`` and ``parent`` in place.  The callers differ
     only in how they seed ``d``, ``parent``, ``heap`` and ``opened``.
+    A push below the popped key, a positive transformed weight, raises
+    PositiveTransformedEdge: keys pop in order, and each vertex settles once.
     """
     n = game.vertex_count
     pred = game.in_adjacency
-    pops = 0
+    pops, poll = 0, DEADLINE_STRIDE
     while heap:
         item = heappop(heap)
-        if deadline is not None:
-            pops += 1
-            if pops % DEADLINE_STRIDE == 0:
-                deadline()
+        pops += 1
+        if pops == poll:  # cheaper than a remainder on every pop
+            poll += DEADLINE_STRIDE
+            deadline()
         y = item % n
         dy = d[y]
-        if item != (pot[y] - dy) * n + y:
+        key = pot[y] - dy
+        if item != key * n + y:
             continue  # stale heap entry (lazy deletion)
         for x, _, w in pred[y]:
             if not opened[x]:
@@ -140,21 +143,20 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, check, deadline):
             if cand < -bound:
                 continue  # admissibility pruning, see _dijkstra
             if cand > d[x]:
-                if check and w - pot[x] + pot[y] > 0:
-                    raise PositiveTransformedEdge(
-                        f"edge ({x}, {y}) has transformed weight {w - pot[x] + pot[y]} > 0"
-                    )
+                kx = pot[x] - cand  # below key by the transformed weight
+                if kx < key:
+                    raise PositiveTransformedEdge(f"edge ({x}, {y}) has transformed weight {key - kx} > 0")
                 d[x] = cand
                 parent[x] = y
-                heappush(heap, (pot[x] - cand) * n + x)
+                heappush(heap, kx * n + x)
 
 
-def _dijkstra(game, pi, bound, targets, pot, deadline=None):
+def _dijkstra(game, pi, bound, targets, pot, deadline=deadline_after(None)):
     """Longest admissible paths to ``targets``, by max-priority search.
 
     Runs backward over in-edges with the potential transformation
-    ``w'(x, y) = w(x, y) - pot(x) + pot(y)``, which is non-positive for every
-    relevant edge, so a Dijkstra-style settle order is valid.  A relaxation
+    ``w'(x, y) = w(x, y) - pot(x) + pot(y)``, which :func:`_search` tests to
+    be non-positive, so a Dijkstra-style settle order is valid.  A relaxation
     is rejected when the candidate true weight ``d(y) + w(x, y)`` drops below
     ``-bound``.  The rejection is sound: extending a path by the maximal
     admissible suffix both maximizes its weight and weakens no earlier suffix
@@ -167,9 +169,8 @@ def _dijkstra(game, pi, bound, targets, pot, deadline=None):
 
     The search starts from the targets at key 0 and opens every other
     vertex whose potential is finite; one at ``-inf`` is known losing.
-    As check mode's reference for every pass, it always checks the
-    transformed weights and that no value exceeds its potential, and it
-    returns ``d`` alone: no reader needs the forest of its search.
+    As check mode's reference for every pass, it checks that no value
+    exceeds its potential, and returns ``d`` alone: no reader needs a forest.
     """
     n = game.vertex_count
     d = [NEG_INF] * n
@@ -178,21 +179,21 @@ def _dijkstra(game, pi, bound, targets, pot, deadline=None):
     for v in heap:
         d[v] = 0
         opened[v] = 0
-    _search(game, pi, bound, pot, d, [-1] * n, heap, opened, True, deadline)
+    _search(game, pi, bound, pot, d, [-1] * n, heap, opened, deadline)
     for v in range(n):
         if d[v] > pot[v]:
             raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
     return d
 
 
-def _repair(game, pi, bound, pot, parent, roots, check, deadline):
+def _repair(game, pi, bound, pot, parent, roots, deadline):
     """One evaluation pass: :func:`_dijkstra`'s values given ``pot`` and
     ``parent``, the values and forest of a previous pass whose targets or
     strategy differed only at ``roots``, distinct vertices, or an empty
     forest with every finite vertex outside ``B`` a root (see the module
     docstring).  Values outside the region below the roots must be final.
-    Returns ``(d, parent, changed)``, ``changed`` listing the vertices
-    whose value fell; ``parent`` is updated in place.  The search is
+    Returns ``(d, changed)``, ``changed`` listing the vertices whose value
+    fell; ``parent`` becomes the new forest in place.  The search is
     :func:`_search`, opened on the region alone and seeded from the
     region's edges out of it.
     """
@@ -223,8 +224,8 @@ def _repair(game, pi, bound, pot, parent, roots, check, deadline):
             parent[x] = arg
             heap.append((pot[x] - best) * n + x)
     heapify(heap)
-    _search(game, pi, bound, pot, d, parent, heap, in_region, check, deadline)
-    return d, parent, [x for x in region if d[x] != pot[x]]
+    _search(game, pi, bound, pot, d, parent, heap, in_region, deadline)
+    return d, [x for x in region if d[x] != pot[x]]
 
 
 def _check_entry(game, pi, d_prev):
@@ -255,7 +256,7 @@ def _check_entry(game, pi, d_prev):
         raise PreconditionViolated("i", f"restriction has a zero-weight cycle through {exc.args[1][0]}") from None
 
 
-def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
+def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=deadline_after(None)):
     """One strategy evaluation: returns ``(d, parents)``, the values and
     forest of the last pass.  ``B`` ends as the vertices with ``d = 0``.
 
@@ -281,12 +282,11 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=None):
     pot = d_prev
     passes = 0
     while True:
-        if deadline is not None:
-            deadline()
+        deadline()
         passes += 1
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
-        d, parent, changed = _repair(game, pi, bound, pot, parent, roots, check, deadline)
+        d, changed = _repair(game, pi, bound, pot, parent, roots, deadline)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative; a Min choice is her
@@ -453,9 +453,9 @@ def solve_lwub(
 ) -> SolveResult:
     """Solve the bounded energy problem for ``game`` at truncation bound ``bound``.
 
-    ``check=True`` turns on the debug validation of entry conditions and the
-    potential transformation; the correctness test-suite always runs with it,
-    benchmarks never do.
+    ``check=True`` adds the debug tests of the entry conditions, of every
+    evaluation pass against a full search and of the final -inf set's
+    closure; the test-suite always runs with it, benchmarks never do.
     """
     return _solve(game, check_bound(bound), check, time_limit)
 
@@ -483,11 +483,14 @@ def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ..
 
 
 def _vector(game, values, name):
-    """``values`` as a list, once checked to hold one entry per vertex;
-    raises InvalidSpec."""
+    """``values`` as a list, once checked to hold one int <= 0 (not a bool)
+    or -inf per vertex; raises InvalidSpec."""
     values = list(values)
     if len(values) != game.vertex_count:
         raise InvalidSpec(f"{name} has {len(values)} entries for {game.vertex_count} vertices")
+    for v, dv in enumerate(values):
+        if not (type(dv) is int and dv <= 0 or dv == NEG_INF):
+            raise InvalidSpec(f"{name}[{v}] = {dv!r} is not an int <= 0 or -inf")
     return values
 
 
@@ -501,7 +504,9 @@ def evaluate_strategy(
 ) -> list:
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices.  ``d_prev``
-    needs one entry per vertex."""
+    needs one int <= 0 or -inf per vertex and the entry conditions of
+    ``_check_entry``; one breaking (ii) raises PositiveTransformedEdge, or
+    PreconditionViolated under ``check=True``."""
     d_prev = _vector(game, d_prev, "d_prev")
     pi = _initial_pi(game, strategy)
     return _evaluate(game, pi, check_bound(bound), d_prev, check)[0]
@@ -513,7 +518,7 @@ def improve_strategy(
     strategy: PositionalStrategy,
 ) -> tuple[PositionalStrategy, bool]:
     """Apply the switch condition ``d(v) > d(u) + w(v, u)`` to a Min
-    strategy.  ``d`` needs one entry per vertex."""
+    strategy.  ``d`` needs one int <= 0 or -inf per vertex."""
     d = _vector(game, d, "d")
     pi = _initial_pi(game, strategy)
     switched = _improve(game, pi, d)

@@ -31,7 +31,7 @@ def oracle_lwub(game: GameGraph, bound: int, *, budget: int = DEFAULT_STATE_BUDG
     is_max = [o is Owner.MAX for o in game.owners]
     out = game.out_adjacency
     safe = bytearray(b"\x01" * needed)  # state id = v * width + e
-    # Max states count their safe successors, Min states their unsafe ones.
+    # Max states count their safe successors; Min states need no count.
     succ_count = [0] * needed
     queue = []
     for v in range(n):

@@ -73,12 +73,13 @@ def vi_solve(
     in_queue = bytearray(n)
     for v in queue:
         in_queue[v] = 1
-    pops = 0
+    pops, poll = 0, DEADLINE_STRIDE
     while queue:
         v = queue.popleft()
         in_queue[v] = 0
         pops += 1
-        if deadline is not None and pops % DEADLINE_STRIDE == 0:
+        if pops == poll:  # cheaper than a remainder on every pop
+            poll += DEADLINE_STRIDE
             deadline()
         old = told[v]
         new = told[v] = d[v]

@@ -124,6 +124,34 @@ class TestEvaluateStrategy:
                 evaluate_strategy(g, 5, PositionalStrategy(MIN, choice), d_prev, check=True)
             assert err.value.which == "i"
 
+    def test_positive_entry_value_detected(self):
+        # the public pair rejects such a d_prev before check mode sees it
+        g = GameGraph(2, [MAX, MAX], [(0, 1, 0), (1, 1, 0)])
+        with pytest.raises(PreconditionViolated, match=re.escape("d(0) = 1 > 0")) as err:
+            kasi._check_entry(g, [None, None], [1, 0])
+        assert err.value.which == "ii"
+
+    def test_positive_transformed_edge_ends_the_search(self, monkeypatch):
+        # d_prev breaks entry condition (ii) at vertex 0, whose +1 loop once
+        # raised d(0) by 1 per pop without end; the push count bounds the
+        # test instead of hanging it
+        g = GameGraph(2, [MAX, MAX], [(0, 0, 1), (0, 1, 0), (1, 1, 0)])
+        pushes = 0
+
+        def counting_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            if pushes > 1000:
+                raise AssertionError("the search did not end")
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(kasi, "heappush", counting_push)
+        with pytest.raises(PositiveTransformedEdge, match=re.escape("edge (0, 0) has transformed weight 1 > 0")):
+            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0])
+        with pytest.raises(PreconditionViolated) as err:
+            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0], check=True)
+        assert err.value.which == "ii"
+
 
 class TestValueVectorLength:
     """The public entry points that take a value vector need one entry per
@@ -139,6 +167,24 @@ class TestValueVectorLength:
         with pytest.raises(InvalidSpec, match=f"d_prev has {len(values)} entries for 2 vertices"):
             evaluate_strategy(g, 5, strategy, values)
         with pytest.raises(InvalidSpec, match=f"d has {len(values)} entries for 2 vertices"):
+            improve_strategy(g, values, strategy)
+
+    @pytest.mark.parametrize("values, entry", [
+        ([5, 0], "[0] = 5"),
+        ([True, 0], "[0] = True"),  # a bool is not an int here
+        ([0, INF], "[1] = inf"),  # an energy vector where potentials belong
+        ([-0.5, 0], "[0] = -0.5"),
+        ([0, None], "[1] = None"),
+    ], ids=["positive", "bool", "inf", "float", "none"])
+    def test_bad_entry_rejected(self, values, entry):
+        # on the duel, Min's strategy evaluates to [0, -3] from [0, 0]; from
+        # [5, 0] and [True, 0] it once gave [-inf, -inf], from [0, inf] a
+        # TypeError
+        g, strategy = two_vertex_duel(), PositionalStrategy(MIN, {1: 0})
+        assert evaluate_strategy(g, 3, strategy, [0, 0]) == [0, -3]
+        with pytest.raises(InvalidSpec, match=re.escape(f"d_prev{entry} is not an int <= 0 or -inf")):
+            evaluate_strategy(g, 3, strategy, values)
+        with pytest.raises(InvalidSpec, match=re.escape(f"d{entry} is not an int <= 0 or -inf")):
             improve_strategy(g, values, strategy)
 
 
@@ -537,6 +583,9 @@ class TestBudgets:
         with pytest.raises(TimeLimitExceeded):
             solve_lwub(g, n, check=True, time_limit=n + n // 4)
         assert pops <= n + n // 4 + core.DEADLINE_STRIDE
+
+    def test_no_limit_is_a_clock_that_never_expires(self):
+        assert core.deadline_after(None)() is None
 
     @pytest.mark.parametrize("call", [
         lambda g: solve_lb(g, time_limit="1"),
