@@ -21,14 +21,12 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     DanglingEdge,
-    EmptyKeepSet,
     GameError,
     InvalidSpec,
     InvalidStrategy,
     InvariantViolation,
     OverflowRisk,
     ParseError,
-    PositiveTransformedEdge,
     PreconditionViolated,
     TimeLimitExceeded,
     ValidationError,
@@ -91,9 +89,7 @@ __all__ = [
     "ZeroOutDegree",
     "DanglingEdge",
     "InvalidStrategy",
-    "EmptyKeepSet",
     "OverflowRisk",
-    "PositiveTransformedEdge",
     "PreconditionViolated",
     "InvariantViolation",
     "BudgetExceeded",

@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DanglingEdge,
-    EmptyKeepSet,
     InvalidSpec,
     InvalidStrategy,
     OverflowRisk,
@@ -223,11 +222,13 @@ def deadline_after(time_limit: float | None):
     """A callable raising TimeLimitExceeded once ``time_limit`` seconds have
     passed from now; without a limit, one that does nothing.  A limit that
     is not a real number, is a bool, or is NaN and so would never expire,
-    raises InvalidSpec."""
+    raises InvalidSpec, and so does a negative one."""
     if time_limit is None:
         return lambda: None
     if not isinstance(time_limit, Real) or isinstance(time_limit, bool) or time_limit != time_limit:
         raise InvalidSpec(f"time limit must be a number, got {time_limit!r}")
+    if time_limit < 0:
+        raise InvalidSpec(f"time limit must be >= 0, got {time_limit!r}")
     at = time.perf_counter() + time_limit
 
     def expire():
@@ -286,7 +287,7 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
             raise ValidationError(f"keep set contains {v!r}, which is not an int")
     kept = sorted(set(keep))
     if not kept:
-        raise EmptyKeepSet("cannot induce a subgame on the empty vertex set")
+        raise ValidationError("cannot induce a subgame on the empty vertex set")
     n = graph.vertex_count
     for v in kept:
         if not (0 <= v < n):

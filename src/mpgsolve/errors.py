@@ -1,9 +1,11 @@
 """Exception types shared across the library.
 
 Exit-code mapping used by the CLI: input problems (ValidationError,
-ParseError, InvalidSpec, OverflowRisk) are exit 2, broken internal
-invariants (InvariantViolation and friends) are exit 1, and exhausted
-budgets (BudgetExceeded, TimeLimitExceeded) are exit 3.
+ParseError, InvalidSpec, OverflowRisk) are exit 2, exhausted budgets
+(BudgetExceeded, TimeLimitExceeded) are exit 3, and every other GameError
+is a broken internal invariant, exit 1: the CLI never passes a strategy or
+an evaluation's entry values of its own (InvalidStrategy,
+PreconditionViolated), so only a bug raises one there.
 """
 
 
@@ -31,19 +33,8 @@ class InvalidStrategy(GameError):
     """A positional strategy is not total on its player's vertices or picks a non-successor."""
 
 
-class EmptyKeepSet(GameError):
-    """induced_subgame() was asked for the empty vertex set."""
-
-
 class OverflowRisk(GameError):
     """Path-weight accumulations would exceed the supported 64-bit envelope."""
-
-
-class PositiveTransformedEdge(GameError):
-    """A relaxed edge had positive weight under the potential transformation.
-
-    No solve raises it, only evaluate_strategy on a ``d_prev`` breaking (ii).
-    """
 
 
 class PreconditionViolated(GameError):

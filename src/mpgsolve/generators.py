@@ -119,6 +119,8 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
 
 
 def _add_cycles(spec: GenSpec, ids: list[int], edges, structure, draw) -> None:
+    if spec.added_cycles < 0:
+        raise InvalidSpec("added_cycles must be >= 0")
     for _ in range(spec.added_cycles):
         k = min(spec.cycle_len, len(ids))
         if k < 1:

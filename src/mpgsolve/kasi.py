@@ -26,7 +26,8 @@ keeps that path and its value; the roots are the vertices that just left
 switched.  A pass resets the forest subtrees below the roots and runs the
 one search, :func:`_search`, on them alone, seeded from their edges into
 the untouched part.  With no forest (a solve's first evaluation, and every
-one of :func:`evaluate_strategy`) the roots are all finite vertices outside
+one of :func:`evaluate_strategy`) one scan, :func:`_entry`, checks the
+entry conditions and reads ``B``; the roots are all finite vertices outside
 ``B``, and the untouched part is ``B`` at 0 and the known-losing vertices
 at -inf, whose values are final.  With ``check=True`` every pass is
 compared with :func:`_dijkstra`, the same search started from ``B``.
@@ -85,12 +86,7 @@ from .core import (
     reduction_bound,
     validate_strategy,
 )
-from .errors import (
-    InvalidSpec,
-    InvariantViolation,
-    PositiveTransformedEdge,
-    PreconditionViolated,
-)
+from .errors import InvalidSpec, InvariantViolation, PreconditionViolated
 
 def _residual(game, pi, v, d):
     """``(best, u)``: the largest ``w + d(u)`` over the strategy-restricted
@@ -115,7 +111,9 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
     ``opened``, updating ``d`` and ``parent`` in place.  The callers differ
     only in how they seed ``d``, ``parent``, ``heap`` and ``opened``.
     A push below the popped key, a positive transformed weight, raises
-    PositiveTransformedEdge: keys pop in order, and each vertex settles once.
+    InvariantViolation: keys pop in order, and each vertex settles once.
+    No checked input reaches it, as every evaluation without a forest
+    checks its entry conditions (:func:`_entry`) and each pass keeps them.
     """
     n = game.vertex_count
     pred = game.in_adjacency
@@ -145,7 +143,7 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
             if cand > d[x]:
                 kx = pot[x] - cand  # below key by the transformed weight
                 if kx < key:
-                    raise PositiveTransformedEdge(f"edge ({x}, {y}) has transformed weight {key - kx} > 0")
+                    raise InvariantViolation(f"edge ({x}, {y}) has transformed weight {key - kx} > 0")
                 d[x] = cand
                 parent[x] = y
                 heappush(heap, kx * n + x)
@@ -228,19 +226,27 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
     return d, [x for x in region if d[x] != pot[x]]
 
 
-def _check_entry(game, pi, d_prev):
-    """Debug check of the evaluation entry conditions, at every size.
+def _entry(game, pi, d_prev):
+    """``B`` at entry, the vertices at 0 that keep a non-negative restricted
+    edge, once the evaluation entry conditions are checked, at every size:
 
     (ii) d < 0 on D minus A and d(v) >= d(u) + w(v, u) along restricted edges;
     (i)  every cycle of the strategy restriction within D minus A is negative.
     Given (ii), such a cycle weighs at most 0, and exactly 0 only when each
     of its edges is tight, d(v) = d(u) + w(v, u); so (i) holds exactly when
     the tight restricted edges within D minus A form no cycle (Goldberg,
-    "Scaling algorithms for the shortest paths problem", 1995).
+    "Scaling algorithms for the shortest paths problem", 1995).  One pass
+    reads each vertex once, one at 0 by a single residual test, so with
+    ``d_prev`` all 0, as in a solve's first evaluation, nothing is sorted.
     """
+    entry = set()
     tight = {}  # each vertex of D minus A -> the heads of its tight edges
     for v, dv in enumerate(d_prev):
-        if dv == NEG_INF or dv == 0:
+        if dv == 0:
+            if _residual(game, pi, v, d_prev)[0] >= 0:
+                entry.add(v)
+            continue
+        if dv == NEG_INF:
             continue
         if dv > 0:
             raise PreconditionViolated("ii", f"d({v}) = {dv} > 0")
@@ -254,6 +260,7 @@ def _check_entry(game, pi, d_prev):
         TopologicalSorter(tight).prepare()
     except CycleError as exc:
         raise PreconditionViolated("i", f"restriction has a zero-weight cycle through {exc.args[1][0]}") from None
+    return entry
 
 
 def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=deadline_after(None)):
@@ -263,17 +270,17 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=deadline_after
     Every pass is a :func:`_repair`.  ``prev`` is None, or the parents
     that came with ``d_prev`` plus the Min vertices switched since; with
     None the first pass starts from an empty forest (see the module
-    docstring).  Every pass but the last shrinks ``B``, so more than
-    ``max(1, n)`` passes mean a broken invariant.
+    docstring), once :func:`_entry` has checked ``d_prev``, which
+    ``check=True`` does on every evaluation.  Every pass but the last
+    shrinks ``B``, so more than ``max(1, n)`` passes mean a broken
+    invariant.
     """
     n, pred = game.vertex_count, game.in_adjacency
     if prev is None or check:
-        # B at entry: the vertices at 0 that keep a non-negative restricted edge
-        entry = {v for v in range(n) if d_prev[v] == 0 and _residual(game, pi, v, d_prev)[0] >= 0}
+        entry = _entry(game, pi, d_prev)
     # with no forest, every finite vertex outside B is a root
     parent, roots = prev or ([-1] * n, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry])
     if check:
-        _check_entry(game, pi, d_prev)
         ref = entry  # check mode's own B, shrunk by each drop set
         # after an improvement, B is the previous B (d_prev = 0) minus the
         # switched vertices, which gave a non-negative edge up
@@ -453,7 +460,8 @@ def solve_lwub(
 ) -> SolveResult:
     """Solve the bounded energy problem for ``game`` at truncation bound ``bound``.
 
-    ``check=True`` adds the debug tests of the entry conditions, of every
+    ``check=True`` adds the debug tests of every later evaluation's entry
+    conditions (the first, with no forest, always checks its own), of every
     evaluation pass against a full search and of the final -inf set's
     closure; the test-suite always runs with it, benchmarks never do.
     """
@@ -504,9 +512,9 @@ def evaluate_strategy(
 ) -> list:
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices.  ``d_prev``
-    needs one int <= 0 or -inf per vertex and the entry conditions of
-    ``_check_entry``; one breaking (ii) raises PositiveTransformedEdge, or
-    PreconditionViolated under ``check=True``."""
+    needs one int <= 0 or -inf per vertex and the entry conditions (i) and
+    (ii) of ``_entry``; one breaking either raises PreconditionViolated,
+    with or without ``check``."""
     d_prev = _vector(game, d_prev, "d_prev")
     pi = _initial_pi(game, strategy)
     return _evaluate(game, pi, check_bound(bound), d_prev, check)[0]

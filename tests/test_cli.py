@@ -124,6 +124,16 @@ class TestSolve:
             assert "time limit must be a number, got nan" in captured.err
             assert captured.out == ""
 
+    def test_negative_time_limit_exits_2(self, tmp_path, capsys):
+        # KASI once exited 3 at its first poll, and VI, which polls every
+        # 4,096 pops, answered
+        path = write_memory_game(tmp_path)
+        for algorithm in ("kasi", "vi"):
+            assert main(["solve", "--algorithm", algorithm, "--time-limit", "-1", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert "time limit must be >= 0, got -1.0" in captured.err
+            assert captured.out == ""
+
     def test_kasi_and_vi_agree_on_files(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         outs = []

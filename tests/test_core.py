@@ -7,7 +7,6 @@ import pytest
 from mpgsolve import (
     MEMORY_GAME_BOUND,
     DanglingEdge,
-    EmptyKeepSet,
     GameGraph,
     InvalidStrategy,
     OverflowRisk,
@@ -225,7 +224,7 @@ class TestInducedSubgame:
             assert oracle_lwub(sub, b) == [INF]
 
     def test_empty_keep_set(self):
-        with pytest.raises(EmptyKeepSet):
+        with pytest.raises(ValidationError, match="cannot induce a subgame on the empty vertex set"):
             induced_subgame(chain_abc(), [])
 
     def test_keep_outside_the_vertex_range(self):

@@ -57,6 +57,7 @@ class TestSprand:
         (GenSpec(family="sprand", n=10, edge_factor=0.5), "sprand needs a finite edge_factor >= 1"),
         (GenSpec(family="sprand", n=0), "sprand needs n >= 1"),
         (GenSpec(family="torus", rows=2, cols=2, added_cycles=1, cycle_len=0), "cycle_len must be >= 1"),
+        (GenSpec(family="torus", rows=2, cols=2, added_cycles=-3, cycle_len=-5), "added_cycles must be >= 0"),
         (GenSpec(family="torus", rows=2, cols=1), "torus needs rows >= 2 and cols >= 2"),
         (GenSpec(family="layered", layers=1, width=3), "layered needs layers >= 2 and width >= 1"),
         (GenSpec(family="collect", grid=2, phases=0), "collect needs grid >= 1 and phases >= 1"),
@@ -64,8 +65,8 @@ class TestSprand:
         (GenSpec(family="supply", sites=2, max_request=0), "supply needs sites >= 1 and max_request >= 1"),
         (GenSpec(family="supply", refill=0), "refill must be positive"),
         (GenSpec(family="taxi", zones=1), "taxi needs zones >= 2"),
-    ], ids=["edge_factor", "n", "cycle_len", "torus", "layered", "collect", "docks", "supply", "refill",
-            "taxi"])
+    ], ids=["edge_factor", "n", "cycle_len", "added_cycles", "torus", "layered", "collect", "docks", "supply",
+            "refill", "taxi"])
     def test_invalid_factor(self, spec, message):
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
             generate(spec)

@@ -12,7 +12,6 @@ from mpgsolve import (
     InvariantViolation,
     Owner,
     PositionalStrategy,
-    PositiveTransformedEdge,
     PreconditionViolated,
     TimeLimitExceeded,
     WitnessIncomplete,
@@ -73,7 +72,7 @@ class TestDijkstraLongest:
 
     def test_positive_transformed_edge_detected(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, 1), (1, 1, 0)])
-        with pytest.raises(PositiveTransformedEdge):
+        with pytest.raises(InvariantViolation, match=re.escape("edge (0, 1) has transformed weight 1 > 0")):
             longest(g, 5, {1}, [0, 0])
 
 
@@ -108,9 +107,11 @@ class TestEvaluateStrategy:
         assert err.value.which == "ii"
 
     def test_entry_condition_i_detected(self):
-        # zero-weight cycles: a Max self-loop, and a ring of 70 vertices (the
-        # check once skipped cores above 64), alternating Max and Min with
-        # Min's choice on the ring and her other edge into B = {70}
+        # zero-weight cycles: a Max self-loop, a Max 2-cycle beside a -3 loop
+        # (the unchecked pair once returned [-inf] and [-inf, -inf] on these
+        # two, where d_prev at 0 gives [0] and [-1, 0]), and a ring of 70
+        # vertices (the check once skipped cores above 64), alternating Max
+        # and Min with Min's choice on the ring and her other edge into B = {70}
         ring = GameGraph(71, [MAX, MIN] * 35 + [MAX], [
             *((v, (v + 1) % 70, 0) for v in range(70)),
             *((v, 70, -1) for v in range(1, 70, 2)),
@@ -118,23 +119,45 @@ class TestEvaluateStrategy:
         ])
         for g, choice, d_prev in [
             (GameGraph(1, [MAX], [(0, 0, 0)]), {}, [-1]),
+            (GameGraph(2, [MAX, MAX], [(0, 1, -1), (1, 0, 1), (1, 1, -3)]), {}, [-2, -1]),
             (ring, {v: (v + 1) % 70 for v in range(1, 70, 2)}, [-1] * 70 + [0]),
         ]:
-            with pytest.raises(PreconditionViolated) as err:
-                evaluate_strategy(g, 5, PositionalStrategy(MIN, choice), d_prev, check=True)
-            assert err.value.which == "i"
+            for check in (False, True):
+                with pytest.raises(PreconditionViolated) as err:
+                    evaluate_strategy(g, 5, PositionalStrategy(MIN, choice), d_prev, check=check)
+                assert err.value.which == "i"
+
+    def test_check_mode_changes_no_answer(self, rng):
+        # on small games from arbitrary d_prev, the unchecked and the checked
+        # pair return equal values or reject the same entry condition
+        def outcome(g, strategy, d_prev, check):
+            try:
+                return evaluate_strategy(g, 5, strategy, d_prev, check=check)
+            except PreconditionViolated as err:
+                return err.which
+
+        seen = set()
+        for _ in range(3000):
+            g = random_game(rng, n_max=6)
+            strategy = PositionalStrategy(MIN, {v: rng.choice(g.out_adjacency[v])[0] for v in g.vertices_of(MIN)})
+            d_prev = [rng.choice([0, -1, -2, -5, NEG]) for _ in range(g.vertex_count)]
+            got = outcome(g, strategy, d_prev, False)
+            assert got == outcome(g, strategy, d_prev, True), (g, strategy, d_prev)
+            seen.add(got if isinstance(got, str) else "values")
+        assert seen == {"values", "i", "ii"}
 
     def test_positive_entry_value_detected(self):
         # the public pair rejects such a d_prev before check mode sees it
         g = GameGraph(2, [MAX, MAX], [(0, 1, 0), (1, 1, 0)])
         with pytest.raises(PreconditionViolated, match=re.escape("d(0) = 1 > 0")) as err:
-            kasi._check_entry(g, [None, None], [1, 0])
+            kasi._entry(g, [None, None], [1, 0])
         assert err.value.which == "ii"
 
     def test_positive_transformed_edge_ends_the_search(self, monkeypatch):
-        # d_prev breaks entry condition (ii) at vertex 0, whose +1 loop once
-        # raised d(0) by 1 per pop without end; the push count bounds the
-        # test instead of hanging it
+        # potentials breaking entry condition (ii) at vertex 0, whose +1 loop
+        # once raised d(0) by 1 per pop without end; the push count bounds
+        # the test instead of hanging it.  The public pair now stops such a
+        # d_prev at entry, so the search is called directly
         g = GameGraph(2, [MAX, MAX], [(0, 0, 1), (0, 1, 0), (1, 1, 0)])
         pushes = 0
 
@@ -146,11 +169,12 @@ class TestEvaluateStrategy:
             heapq.heappush(heap, item)
 
         monkeypatch.setattr(kasi, "heappush", counting_push)
-        with pytest.raises(PositiveTransformedEdge, match=re.escape("edge (0, 0) has transformed weight 1 > 0")):
-            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0])
-        with pytest.raises(PreconditionViolated) as err:
-            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0], check=True)
-        assert err.value.which == "ii"
+        with pytest.raises(InvariantViolation, match=re.escape("edge (0, 1) has transformed weight 1 > 0")):
+            kasi._dijkstra(g, [None, None], 5, {1}, [-1, 0])
+        for check in (False, True):
+            with pytest.raises(PreconditionViolated) as err:
+                evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0], check=check)
+            assert err.value.which == "ii"
 
 
 class TestValueVectorLength:
@@ -535,7 +559,7 @@ class TestBudgets:
     def test_time_limit_expires(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -1), (1, 0, -1)])
         with pytest.raises(TimeLimitExceeded):
-            solve_lwub(g, 10**6, time_limit=-1.0)
+            solve_lwub(g, 10**6, time_limit=0.0)
 
     def test_time_limit_interrupts_the_first_evaluation(self, monkeypatch):
         # The first evaluation of this chain is one search settling all n
@@ -561,9 +585,10 @@ class TestBudgets:
 
     def test_time_limit_interrupts_check_modes_reference_search(self, monkeypatch):
         # The chain of the test above plus a -> b -> c -> n - 1, with a's
-        # 0-edge going negative in the first pass: the second pass repairs
-        # a alone, and check mode compares it with a full search of n pops
-        # that ends the solve.  The clock ticks once per heap pop.
+        # 0-edge going negative in the first pass.  That pass repairs the
+        # chain in n + 1 pops, and check mode compares it with a full
+        # search, whose poll after 28,193 pops in all ends the solve.  The
+        # clock ticks once per heap pop.
         n = 20000
         a, b, c = n + 2, n + 1, n
         g = GameGraph(n + 3, [MAX] * (n + 3), [(v, v + 1, -1) for v in range(n - 1)]
@@ -595,6 +620,14 @@ class TestBudgets:
     def test_time_limit_that_is_not_a_number(self, call):
         with pytest.raises(InvalidSpec, match="time limit must be a number"):
             call(memory_game())
+
+    @pytest.mark.parametrize("limit", [-1, -5.0, NEG])
+    def test_negative_time_limit(self, limit):
+        # not a limit that has already expired: -1 once ended a KASI solve at
+        # its first poll, while VI, without a poll on a small game, answered
+        for call in (lambda g: solve_lb(g, time_limit=limit), lambda g: vi_solve(g, 15, time_limit=limit)):
+            with pytest.raises(InvalidSpec, match=f"time limit must be >= 0, got {limit}"):
+                call(memory_game())
 
     @pytest.mark.parametrize("limit", [True, False])
     def test_time_limit_that_is_a_bool(self, limit):

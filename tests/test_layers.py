@@ -1,11 +1,12 @@
 """The package's layers point one way: core, then the solvers, generators
-and formats, then instances, the CLI and the package root; and every name
-the package exports has a user."""
+and formats, then instances, the CLI and the package root; every name the
+package exports has a user; and every exception type can be raised."""
 
 import ast
 from pathlib import Path
 
 import mpgsolve
+from mpgsolve import errors
 
 PACKAGE = Path(mpgsolve.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,3 +171,18 @@ def test_every_public_name_has_a_user():
     read.update(*(_used_names(p) for p in users if not p.stem.startswith("test_")))
     unused = sorted(defined - read)
     assert not unused, f"public names without a user: {unused}"
+
+
+def test_every_error_is_raised():
+    # an exception type that no module of the package raises, and that is
+    # no base of one that is raised, is a name no caller can meet
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+    raised_classes = [c for c in classes if c.__name__ in raised]
+    unraised = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised_classes)]
+    assert not unraised, f"never raised: {unraised}"

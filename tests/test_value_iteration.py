@@ -85,9 +85,10 @@ class TestSolve:
             assert fixpoint(g, b) == vi_solve(g, b)
 
     def test_time_limit_in_the_past(self):
-        # the value climbs by 1 per pop, so 10**6 pops pass a check
+        # the value climbs by 1 per pop, so 10**6 pops pass a check, and a
+        # limit of 0 s has passed by the first
         with pytest.raises(TimeLimitExceeded):
-            vi_solve(one_vertex_game(-1), 10**6, time_limit=-1.0)
+            vi_solve(one_vertex_game(-1), 10**6, time_limit=0.0)
 
     def test_time_limit_checked_within_4096_pops(self, monkeypatch):
         # a chain whose values rise along the queue: one pop per vertex
