@@ -5,7 +5,7 @@ Vertex 0 (Max) holds a free self-loop and a -3 escape to vertex 1; vertex 1
 need when the tank is capped at 3?
 """
 
-from mpgsolve import oracle_lwub, render_game, solve_lwub, two_vertex_duel, vi_solve
+from mpgsolve import certify, oracle_lwub, render_game, solve_lwub, two_vertex_duel, vi_solve
 
 game = two_vertex_duel()
 bound = 3
@@ -13,7 +13,8 @@ bound = 3
 print("The instance, in wire format:")
 print(render_game(game))
 
-result = solve_lwub(game, bound, check=True)
+result = solve_lwub(game, bound)
+certify(game, bound, result)  # raises InvariantViolation on a wrong answer
 print(f"strategy improvement: lwub = {result.lwub} after {result.iterations} iteration(s)")
 print(f"value iteration:      lwub = {vi_solve(game, bound)}")
 print(f"safety-game oracle:   lwub = {oracle_lwub(game, bound)}")

@@ -10,6 +10,7 @@ from mpgsolve import (
     MEMORY_GAME_BOUND,
     Owner,
     PositionalStrategy,
+    certify,
     memory_game,
     oracle_lwub,
     restrict_to_strategy,
@@ -20,7 +21,8 @@ from mpgsolve import (
 game = memory_game()
 bound = MEMORY_GAME_BOUND
 
-result = solve_lwub(game, bound, check=True)
+result = solve_lwub(game, bound)
+certify(game, bound, result)  # raises InvariantViolation on a wrong answer
 print(f"answers at bound {bound}: {result.lwub}")
 print()
 

@@ -6,7 +6,7 @@ of edge weights non-negative forever -- optionally with the energy truncated
 at an upper bound -- together with optimal strategies for both players.
 """
 
-from .checker import verify_min_witness
+from .checker import certify, verify_min_witness
 from .core import (
     GameGraph,
     MinWitness,
@@ -71,6 +71,7 @@ __all__ = [
     "winning_sign",
     "evaluate_strategy",
     "improve_strategy",
+    "certify",
     "verify_min_witness",
     "vi_solve",
     "oracle_lwub",

@@ -13,6 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import formats, kasi, oracle
+from .checker import certify
 from .core import GameGraph, induced_subgame, reduction_bound
 from .errors import (
     BudgetExceeded,
@@ -48,9 +49,11 @@ def cmd_solve(args) -> int:
         raise InvalidSpec("--bound only applies to --problem lwub")
     if args.algorithm == "kasi":
         if args.problem == "lb":
-            res = kasi.solve_lb(graph, check=args.check, time_limit=args.time_limit)
+            res = kasi.solve_lb(graph, time_limit=args.time_limit)
         else:
-            res = kasi.solve_lwub(graph, args.bound, check=args.check, time_limit=args.time_limit)
+            res = kasi.solve_lwub(graph, args.bound, time_limit=args.time_limit)
+        if args.check:
+            certify(graph, reduction_bound(graph) if args.problem == "lb" else args.bound, res)
         values = res.lwub
         if args.emit_strategy:
             _write_output(args.emit_strategy, formats.render_strategy(res.max_strategy))
@@ -76,11 +79,12 @@ def cmd_gen(args) -> int:
 def _verify_one(graph: GameGraph, bound: int, budget: int):
     """Returns None on agreement, else (expected, kasi, vi)."""
     want = oracle.oracle_lwub(graph, bound, budget=budget)
-    got = kasi.solve_lwub(graph, bound, check=True).lwub
+    res = kasi.solve_lwub(graph, bound)
     via_vi = vi_solve(graph, bound)
-    if want == got == via_vi:
+    if want == res.lwub == via_vi:
+        certify(graph, bound, res)  # Max's strategy and Min's witness too
         return None
-    return want, got, via_vi
+    return want, res.lwub, via_vi
 
 
 def _shrink(graph: GameGraph, bound: int, budget: int) -> GameGraph:
@@ -168,7 +172,9 @@ def build_parser():
     p.add_argument("--emit-strategy", default=None, help="write the optimal Max strategy here")
     p.add_argument("--emit-witness", default=None, help="write Min's strategy sequence here: her last strategy in full, "
                    "each earlier one as its differences from the next (one block for lb)")
-    p.add_argument("--check", action="store_true", help="enable debug invariant checking (kasi only)")
+    p.add_argument("--check", action="store_true",
+                   help="certify the answer before writing it, exit 1 if it is wrong (kasi only; "
+                   "--time-limit bounds the solve, not the certificate)")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 

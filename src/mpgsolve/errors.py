@@ -60,7 +60,7 @@ class TimeLimitExceeded(GameError):
     """A solver ran past its wall-clock limit."""
 
 
-class WitnessIncomplete(GameError):
+class WitnessIncomplete(InvariantViolation):
     """Some adversary behavior survived witness verification (an implementation bug)."""
 
 

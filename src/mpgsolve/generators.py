@@ -44,7 +44,9 @@ _IDLE_FEE = -1
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of one generated instance; unused fields are ignored."""
+    """Parameters of one generated instance.  :func:`generate` checks every
+    field, whatever the family; a family ignores the fields it does not
+    read."""
 
     family: str
     seed: int = 0
@@ -84,8 +86,6 @@ def _weight_draw(spec: GenSpec):
     weight_hi) - shift`` on the weight substream: ``randint(a, b)`` is
     ``randrange(a, b + 1)``, which is ``a`` plus a draw below the width."""
     lo, hi = spec.weight_lo, spec.weight_hi
-    if lo > hi:
-        raise InvalidSpec(f"empty weight range [{lo}, {hi}]")
     return partial(_rng(spec, _PHASE_WEIGHTS).randrange, lo - spec.shift, hi + 1 - spec.shift)
 
 
@@ -97,10 +97,6 @@ def _draw_owners(spec: GenSpec, n: int) -> list[Owner]:
 def gen_sprand(spec: GenSpec) -> GameGraph:
     """Random Hamiltonian cycle plus ``edge_factor * n - n`` random edges."""
     n = spec.n
-    if n < 1:
-        raise InvalidSpec("sprand needs n >= 1")
-    if not 1 <= spec.edge_factor < INF:  # NaN included
-        raise InvalidSpec("sprand needs a finite edge_factor >= 1")
     m = int(spec.edge_factor * n)
     structure = _rng(spec, _PHASE_STRUCTURE)
     draw = _weight_draw(spec)
@@ -119,12 +115,8 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
 
 
 def _add_cycles(spec: GenSpec, ids: list[int], edges, structure, draw) -> None:
-    if spec.added_cycles < 0:
-        raise InvalidSpec("added_cycles must be >= 0")
     for _ in range(spec.added_cycles):
         k = min(spec.cycle_len, len(ids))
-        if k < 1:
-            raise InvalidSpec("cycle_len must be >= 1")
         cyc = structure.sample(ids, k)  # the indices sample(range(n), k) draws
         for i in range(k):
             edges.append((cyc[i], cyc[(i + 1) % k], draw()))
@@ -150,16 +142,12 @@ def _wrap_grid(spec: GenSpec, rows: int, cols: int, steps) -> GameGraph:
 
 def gen_torus(spec: GenSpec) -> GameGraph:
     """Grid with wrap-around: every cell points right and down."""
-    if spec.rows < 2 or spec.cols < 2:
-        raise InvalidSpec("torus needs rows >= 2 and cols >= 2")
     return _wrap_grid(spec, spec.rows, spec.cols, ((0, 1), (1, 0)))
 
 
 def gen_layered(spec: GenSpec) -> GameGraph:
     """Layered approximation: layer l feeds layer l+1 (wrapping), each vertex
     hitting the same and the next column of the next layer."""
-    if spec.layers < 2 or spec.width < 1:
-        raise InvalidSpec("layered needs layers >= 2 and width >= 1")
     return _wrap_grid(spec, spec.layers, spec.width, ((1, 0), (1, 1)))
 
 
@@ -174,10 +162,6 @@ def _gen_collect(spec: GenSpec) -> GameGraph:
     the battery; it is not part of the state space.
     """
     side = spec.grid
-    if side < 1 or spec.phases < 1:
-        raise InvalidSpec("collect needs grid >= 1 and phases >= 1")
-    if spec.docks < 0 or spec.docks > side * side:
-        raise InvalidSpec("docks out of range")
     cells = side * side
     structure = _rng(spec, _PHASE_STRUCTURE)
     dock_cells = set(structure.sample(range(cells), spec.docks))
@@ -222,10 +206,6 @@ def _gen_supply(spec: GenSpec) -> GameGraph:
     account.  Site 0 is the depot.
     """
     sites, rmax = spec.sites, spec.max_request
-    if sites < 1 or rmax < 1:
-        raise InvalidSpec("supply needs sites >= 1 and max_request >= 1")
-    if spec.refill <= 0:
-        raise InvalidSpec("refill must be positive")
 
     def dispatch(s: int) -> int:
         return s
@@ -254,8 +234,6 @@ def _gen_taxi(spec: GenSpec) -> GameGraph:
     The cash balance is the energy account.
     """
     zones = spec.zones
-    if zones < 2:
-        raise InvalidSpec("taxi needs zones >= 2")
 
     def ring(a: int, b: int) -> int:
         d = abs(a - b)
@@ -291,9 +269,35 @@ FAMILIES = {
 }
 
 
+def _check_spec(spec: GenSpec) -> None:
+    """Raise InvalidSpec at the first field of ``spec`` out of range.  Every
+    field is checked whatever the family, so a flag meant for another family
+    cannot pass silently; only the sizes that default to 0 (``n``, ``rows``,
+    ``cols``, ``layers``, ``width``) have a larger least value in the family
+    that reads them."""
+    family = spec.family
+    for bad, message in (
+        (family not in FAMILIES, f"unknown family {family!r}; choose from {sorted(FAMILIES)}"),
+        (spec.n < (1 if family == "sprand" else 0), "sprand needs n >= 1"),
+        (not 1 <= spec.edge_factor < INF, "sprand needs a finite edge_factor >= 1"),  # NaN included
+        (min(spec.rows, spec.cols) < (2 if family == "torus" else 0), "torus needs rows >= 2 and cols >= 2"),
+        (spec.layers < (2 if family == "layered" else 0) or spec.width < (1 if family == "layered" else 0),
+         "layered needs layers >= 2 and width >= 1"),
+        (spec.added_cycles < 0, "added_cycles must be >= 0"),
+        (spec.cycle_len < 1, "cycle_len must be >= 1"),
+        (spec.weight_lo > spec.weight_hi, f"empty weight range [{spec.weight_lo}, {spec.weight_hi}]"),
+        (spec.grid < 1 or spec.phases < 1, "collect needs grid >= 1 and phases >= 1"),
+        (not 0 <= spec.docks <= spec.grid * spec.grid, "docks out of range"),
+        (spec.sites < 1 or spec.max_request < 1, "supply needs sites >= 1 and max_request >= 1"),
+        (spec.refill <= 0, "refill must be positive"),
+        (spec.zones < 2, "taxi needs zones >= 2"),
+    ):
+        if bad:
+            raise InvalidSpec(message)
+
+
 def generate(spec: GenSpec) -> GameGraph:
-    """Dispatch on ``spec.family``."""
-    builder = FAMILIES.get(spec.family)
-    if builder is None:
-        raise InvalidSpec(f"unknown family {spec.family!r}; choose from {sorted(FAMILIES)}")
-    return builder(spec)
+    """Dispatch on ``spec.family``, once :func:`_check_spec` has checked
+    ``spec``."""
+    _check_spec(spec)
+    return FAMILIES[spec.family](spec)

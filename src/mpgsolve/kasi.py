@@ -29,8 +29,7 @@ the untouched part.  With no forest (a solve's first evaluation, and every
 one of :func:`evaluate_strategy`) one scan, :func:`_entry`, checks the
 entry conditions and reads ``B``; the roots are all finite vertices outside
 ``B``, and the untouched part is ``B`` at 0 and the known-losing vertices
-at -inf, whose values are final.  With ``check=True`` every pass is
-compared with :func:`_dijkstra`, the same search started from ``B``.
+at -inf, whose values are final.
 
 Outside the searches nothing stores ``B``: it is read off ``d``.  A pass
 gives its targets 0 and every other vertex a negative value, since a vertex
@@ -39,10 +38,8 @@ one under the values the pass started from, so it can only lose it along a
 restricted edge into a changed value, and one leave test serves every
 pass: it reads only the ``B`` vertices with such an edge.  After an
 improvement ``B`` is the previous ``B`` minus the switched vertices, as
-only a switch gives up a non-negative edge.  With ``check=True`` the entry
-``B`` and every pass's leave test are compared with the full scan they
-replace.  A heap entry is the integer ``key * n + v``, which orders as
-``(key, v)`` does.
+only a switch gives up a non-negative edge.  A heap entry is the integer
+``key * n + v``, which orders as ``(key, v)`` does.
 
 Parallel edges: the evaluation walks a one-player graph, so choices that
 really belong to Min must be resolved adversarially.  Min's choice
@@ -61,6 +58,10 @@ of every iteration.  At a bound of at least ``(n - 1) * W``, every lb
 solve among them, her last strategy alone is optimal (:func:`_solve`
 proves it), so the witness is that one block, with death index 0 at
 every losing vertex.
+
+The solver checks its own invariants as it goes (entry conditions,
+transformed weights, descent, budgets); :func:`checker.certify` checks a
+finished result from the answer alone.
 """
 
 from __future__ import annotations
@@ -104,16 +105,28 @@ def _residual(game, pi, v, d):
 
 
 def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
-    """The longest-path search of :func:`_dijkstra` and :func:`_repair`.
+    """The longest-path search of :func:`_repair`, by max-priority order.
 
-    Settles the entries of ``heap`` in max-priority order and relaxes the
-    restricted in-edges of each settled vertex into the vertices marked in
-    ``opened``, updating ``d`` and ``parent`` in place.  The callers differ
-    only in how they seed ``d``, ``parent``, ``heap`` and ``opened``.
-    A push below the popped key, a positive transformed weight, raises
-    InvariantViolation: keys pop in order, and each vertex settles once.
-    No checked input reaches it, as every evaluation without a forest
-    checks its entry conditions (:func:`_entry`) and each pass keeps them.
+    Settles the entries of ``heap`` and relaxes the restricted in-edges of
+    each settled vertex into the vertices marked in ``opened``, updating
+    ``d`` and ``parent`` in place.  It runs backward over in-edges with the
+    potential transformation ``w'(x, y) = w(x, y) - pot(x) + pot(y)``; a
+    push below the popped key, a positive transformed weight, raises
+    InvariantViolation, so keys pop in order and each vertex settles once,
+    as in Dijkstra's search.  No checked input reaches it, as every
+    evaluation without a forest checks its entry conditions
+    (:func:`_entry`) and each pass keeps them.
+
+    A relaxation is rejected when the candidate true weight ``d(y) + w(x,
+    y)`` drops below ``-bound``.  The rejection is sound: extending a path
+    by the maximal admissible suffix both maximizes its weight and weakens
+    no earlier suffix constraint (every suffix of the extended path is
+    either the whole path, checked here, or a suffix of the admissible
+    sub-path, admissible by induction), and a smaller value at ``y`` can
+    only produce a smaller, thus still inadmissible, candidate at ``x``.
+    Greedy extraction therefore computes exactly the longest path whose
+    every suffix weighs at least ``-bound``, and leaves ``d(x) = -inf``
+    when no such path exists.
     """
     n = game.vertex_count
     pred = game.in_adjacency
@@ -139,7 +152,7 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
                 w = choice[1]
             cand = dy + w
             if cand < -bound:
-                continue  # admissibility pruning, see _dijkstra
+                continue  # admissibility pruning, see above
             if cand > d[x]:
                 kx = pot[x] - cand  # below key by the transformed weight
                 if kx < key:
@@ -149,45 +162,11 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
                 heappush(heap, kx * n + x)
 
 
-def _dijkstra(game, pi, bound, targets, pot, deadline=deadline_after(None)):
-    """Longest admissible paths to ``targets``, by max-priority search.
-
-    Runs backward over in-edges with the potential transformation
-    ``w'(x, y) = w(x, y) - pot(x) + pot(y)``, which :func:`_search` tests to
-    be non-positive, so a Dijkstra-style settle order is valid.  A relaxation
-    is rejected when the candidate true weight ``d(y) + w(x, y)`` drops below
-    ``-bound``.  The rejection is sound: extending a path by the maximal
-    admissible suffix both maximizes its weight and weakens no earlier suffix
-    constraint (every suffix of the extended path is either the whole path,
-    checked here, or a suffix of the admissible sub-path, admissible by
-    induction), and a smaller value at ``y`` can only produce a smaller, thus
-    still inadmissible, candidate at ``x``.  Greedy extraction therefore
-    computes exactly the longest path whose every suffix weighs at least
-    ``-bound``, and leaves ``d(x) = -inf`` when no such path exists.
-
-    The search starts from the targets at key 0 and opens every other
-    vertex whose potential is finite; one at ``-inf`` is known losing.
-    As check mode's reference for every pass, it checks that no value
-    exceeds its potential, and returns ``d`` alone: no reader needs a forest.
-    """
-    n = game.vertex_count
-    d = [NEG_INF] * n
-    heap = sorted(targets)  # all at key 0, so already a heap
-    opened = bytearray(map(NEG_INF.__ne__, pot))
-    for v in heap:
-        d[v] = 0
-        opened[v] = 0
-    _search(game, pi, bound, pot, d, [-1] * n, heap, opened, deadline)
-    for v in range(n):
-        if d[v] > pot[v]:
-            raise InvariantViolation(f"longest-path value exceeds potential at vertex {v}")
-    return d
-
-
 def _repair(game, pi, bound, pot, parent, roots, deadline):
-    """One evaluation pass: :func:`_dijkstra`'s values given ``pot`` and
-    ``parent``, the values and forest of a previous pass whose targets or
-    strategy differed only at ``roots``, distinct vertices, or an empty
+    """One evaluation pass: the longest admissible paths to this pass's
+    targets, among the vertices whose potential is finite, given ``pot``
+    and ``parent``, the values and forest of a previous pass whose targets
+    or strategy differed only at ``roots``, distinct vertices, or an empty
     forest with every finite vertex outside ``B`` a root (see the module
     docstring).  Values outside the region below the roots must be final.
     Returns ``(d, changed)``, ``changed`` listing the vertices whose value
@@ -263,29 +242,23 @@ def _entry(game, pi, d_prev):
     return entry
 
 
-def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=deadline_after(None)):
+def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None)):
     """One strategy evaluation: returns ``(d, parents)``, the values and
     forest of the last pass.  ``B`` ends as the vertices with ``d = 0``.
 
     Every pass is a :func:`_repair`.  ``prev`` is None, or the parents
     that came with ``d_prev`` plus the Min vertices switched since; with
     None the first pass starts from an empty forest (see the module
-    docstring), once :func:`_entry` has checked ``d_prev``, which
-    ``check=True`` does on every evaluation.  Every pass but the last
-    shrinks ``B``, so more than ``max(1, n)`` passes mean a broken
+    docstring), once :func:`_entry` has checked ``d_prev``.  Every pass but
+    the last shrinks ``B``, so more than ``max(1, n)`` passes mean a broken
     invariant.
     """
     n, pred = game.vertex_count, game.in_adjacency
-    if prev is None or check:
+    if prev is None:
         entry = _entry(game, pi, d_prev)
-    # with no forest, every finite vertex outside B is a root
-    parent, roots = prev or ([-1] * n, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry])
-    if check:
-        ref = entry  # check mode's own B, shrunk by each drop set
-        # after an improvement, B is the previous B (d_prev = 0) minus the
-        # switched vertices, which gave a non-negative edge up
-        if prev is not None and ref != {v for v in range(n) if d_prev[v] == 0}.difference(roots):
-            raise InvariantViolation("candidate set differs from a full scan")
+        # with no forest, every finite vertex outside B is a root
+        prev = [-1] * n, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry]
+    parent, roots = prev
     pot = d_prev
     passes = 0
     while True:
@@ -303,14 +276,6 @@ def _evaluate(game, pi, bound, d_prev, check, prev=None, deadline=deadline_after
             if d[x] == 0 and d[y] + w < 0
             and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
         }
-        if check:
-            if _dijkstra(game, pi, bound, ref, pot, deadline) != d:
-                raise InvariantViolation("incremental evaluation differs from a full search")
-            if ref != {v for v in range(n) if d[v] == 0}:
-                raise InvariantViolation("the vertices at 0 differ from B")
-            if drop != {v for v in ref if _residual(game, pi, v, d)[0] < 0}:
-                raise InvariantViolation("leave test differs from a full scan")
-            ref -= drop
         if not drop:
             return d, parent
         pot = d
@@ -361,19 +326,7 @@ def _initial_pi(game, strategy):
     return pi
 
 
-def _check_trap(game, pi, d):
-    """Debug check of the one-block witness's premise (see :func:`_solve`):
-    every Max edge out of a vertex at -inf, and Min's choice at one, leads
-    to a vertex at -inf."""
-    for v, dv in enumerate(d):
-        if dv != NEG_INF:
-            continue
-        for u, _ in game.out_adjacency[v] if pi[v] is None else [pi[v]]:
-            if d[u] != NEG_INF:
-                raise InvariantViolation(f"edge ({v}, {u}) leaves the -inf set")
-
-
-def _solve(game, bound, check, time_limit):
+def _solve(game, bound, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
     lowest-indexed successors at their lightest weights.
 
@@ -401,8 +354,8 @@ def _solve(game, bound, check, time_limit):
       starts, and stays, on block 0.
 
     Below that bound the second step fails, which is why Min needs memory
-    there (see :func:`instances.memory_game`).  ``check=True`` tests the
-    closure of the final -inf set (:func:`_check_trap`).  Energy games are
+    there (see :func:`instances.memory_game`).  :func:`checker.certify`
+    tests the closure of the final -inf set.  Energy games are
     positionally determined (Chakrabarti, de Alfaro, Henzinger & Stoelinga,
     EMSOFT 2003); this shows that KASI's own last strategy is such a
     positional strategy.
@@ -421,7 +374,7 @@ def _solve(game, bound, check, time_limit):
     for iteration in range(max_main):
         if not one_block:
             strategies.append(_snapshot(pi))
-        d, parents = _evaluate(game, pi, bound, d_prev, check, prev, deadline)
+        d, parents = _evaluate(game, pi, bound, d_prev, prev, deadline)
         if iteration > 0 and d == d_prev:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
@@ -437,8 +390,6 @@ def _solve(game, bound, check, time_limit):
     else:
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
     if one_block:
-        if check:
-            _check_trap(game, pi, d)
         strategies = [_snapshot(pi)]
         death = [0 if dv == NEG_INF else None for dv in d]
 
@@ -455,36 +406,29 @@ def solve_lwub(
     game: GameGraph,
     bound: int,
     *,
-    check: bool = False,
     time_limit: float | None = None,
 ) -> SolveResult:
-    """Solve the bounded energy problem for ``game`` at truncation bound ``bound``.
-
-    ``check=True`` adds the debug tests of every later evaluation's entry
-    conditions (the first, with no forest, always checks its own), of every
-    evaluation pass against a full search and of the final -inf set's
-    closure; the test-suite always runs with it, benchmarks never do.
-    """
-    return _solve(game, check_bound(bound), check, time_limit)
+    """Solve the bounded energy problem for ``game`` at truncation bound
+    ``bound``; :func:`checker.certify` checks the result."""
+    return _solve(game, check_bound(bound), time_limit)
 
 
 def solve_lb(
     game: GameGraph,
     *,
-    check: bool = False,
     time_limit: float | None = None,
 ) -> SolveResult:
     """Solve the unbounded problem via the reduction bound ``(|V|-1) * W``."""
-    return _solve(game, reduction_bound(game), check, time_limit)
+    return _solve(game, reduction_bound(game), time_limit)
 
 
-def winning_sign(game: GameGraph, *, check: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def winning_sign(game: GameGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition vertices into (mean value >= 0, mean value < 0).
 
     A vertex has non-negative value exactly when its unbounded energy
     requirement is finite.
     """
-    res = solve_lb(game, check=check)
+    res = solve_lb(game)
     nonneg = tuple(v for v in range(game.vertex_count) if res.lwub[v] != INF)
     neg = tuple(v for v in range(game.vertex_count) if res.lwub[v] == INF)
     return nonneg, neg
@@ -507,17 +451,14 @@ def evaluate_strategy(
     bound: int,
     strategy: PositionalStrategy,
     d_prev: Sequence,
-    *,
-    check: bool = False,
 ) -> list:
     """Evaluate a Min strategy: d with -d the bounded energy requirement of
     the one-player restriction to the still-winnable vertices.  ``d_prev``
     needs one int <= 0 or -inf per vertex and the entry conditions (i) and
-    (ii) of ``_entry``; one breaking either raises PreconditionViolated,
-    with or without ``check``."""
+    (ii) of ``_entry``; one breaking either raises PreconditionViolated."""
     d_prev = _vector(game, d_prev, "d_prev")
     pi = _initial_pi(game, strategy)
-    return _evaluate(game, pi, check_bound(bound), d_prev, check)[0]
+    return _evaluate(game, pi, check_bound(bound), d_prev)[0]
 
 
 def improve_strategy(

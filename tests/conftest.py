@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from mpgsolve import GameGraph, Owner
+from mpgsolve import GameGraph, Owner, certify, evaluate_strategy, solve_lb, solve_lwub
+from mpgsolve.core import reduction_bound
+from reference import reference_evaluation
 
 
 def random_game(rng: random.Random, n_max: int = 7, w_max: int = 4) -> GameGraph:
@@ -19,3 +21,23 @@ def random_game(rng: random.Random, n_max: int = 7, w_max: int = 4) -> GameGraph
 @pytest.fixture
 def rng():
     return random.Random(20240917)
+
+
+def certified(game: GameGraph, bound: int | None = None):
+    """``solve_lwub(game, bound)``, or ``solve_lb(game)`` without a bound,
+    once ``certify`` has checked the result."""
+    if bound is None:
+        res = solve_lb(game)
+        certify(game, reduction_bound(game), res)
+    else:
+        res = solve_lwub(game, bound)
+        certify(game, bound, res)
+    return res
+
+
+def evaluated(game: GameGraph, bound: int, strategy, d_prev) -> list:
+    """``evaluate_strategy``'s values, once they are checked to equal the
+    reference evaluation's."""
+    d = evaluate_strategy(game, bound, strategy, d_prev)
+    assert d == reference_evaluation(game, bound, strategy, d_prev), (game, bound, strategy, d_prev)
+    return d

@@ -7,6 +7,11 @@
 * :func:`vi_step`, one synchronous value-iteration round over a
   :class:`ViState`, the textbook iteration on which the k-step semantics
   are tested; iterated, it reaches ``vi_solve``'s fixpoint;
+* :func:`longest_paths`, longest admissible paths to a target set by one
+  Dijkstra-style search, and :func:`reference_evaluation`, a strategy
+  evaluation by such searches from the whole candidate set until it stops
+  shrinking: the references for ``evaluate_strategy``, whose passes
+  repair a forest instead;
 * :func:`one_vertex_game`, the minimal legal game;
 * :func:`expand_witness`, a rendered witness with every block in full,
   the format before earlier blocks came to hold only their differences.
@@ -15,9 +20,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import product
 
-from mpgsolve.core import GameGraph, Owner
+from mpgsolve.core import NEG_INF, GameGraph, Owner, PositionalStrategy
 from mpgsolve.errors import BudgetExceeded
 from mpgsolve.value_iteration import _value
 
@@ -173,3 +179,66 @@ def expand_witness(text: str) -> str:
             choice[int(v)] = int(u)
         full.append("".join(f"s {v} {u}\n" for v, u in sorted(choice.items())))
     return "".join(f"k {j}\n{body}" for j, body in enumerate(reversed(full)))
+
+
+def longest_paths(game: GameGraph, pi: list, bound: int, targets: set, pot: list) -> list:
+    """Longest admissible paths to ``targets``, by max-priority search.
+
+    ``pi[v]`` is Min's ``(u, w)`` choice at ``v``, None at a Max vertex.
+    The search starts from the targets at 0 and runs backward over
+    restricted in-edges into every other vertex whose potential is finite;
+    one at ``-inf`` is known losing.  Keys are ``pot(x) - d(x)``, so the
+    transformed weights ``w(x, y) - pot(x) + pot(y)`` must be non-positive
+    for a Dijkstra-style settle order, and a relaxation whose candidate
+    ``d(y) + w(x, y)`` drops below ``-bound`` is rejected: every suffix of
+    an admissible path weighs at least ``-bound``.
+    """
+    n = game.vertex_count
+    d = [NEG_INF] * n
+    settled = [False] * n
+    heap = []
+    for t in sorted(targets):
+        d[t] = 0
+        heappush(heap, (pot[t], t))
+    while heap:
+        key, y = heappop(heap)
+        if settled[y]:
+            continue
+        settled[y] = True
+        for x, _, w in game.in_adjacency[y]:
+            if x in targets or pot[x] == NEG_INF:
+                continue
+            if pi[x] is not None:
+                if pi[x][0] != y:
+                    continue
+                w = pi[x][1]
+            cand = d[y] + w
+            if -bound <= cand and cand > d[x]:
+                assert pot[x] - cand >= key, f"edge ({x}, {y}) has a positive transformed weight"
+                d[x] = cand
+                heappush(heap, (pot[x] - cand, x))
+    assert all(dv <= pv for dv, pv in zip(d, pot)), "a value exceeds its potential"
+    return d
+
+
+def reference_evaluation(game: GameGraph, bound: int, strategy: PositionalStrategy, d_prev: list) -> list:
+    """``evaluate_strategy``'s values from valid entry values ``d_prev``:
+    each pass is one :func:`longest_paths` from ``B``, the vertices at 0
+    that keep a non-negative restricted edge, with the previous values as
+    potentials, until ``B`` stops shrinking."""
+    out = game.out_adjacency
+    pi = [None] * game.vertex_count
+    for v, u in strategy.choice.items():
+        pi[v] = (u, min(w for t, w in out[v] if t == u))
+
+    def keeps(v, d):
+        return any(w + d[u] >= 0 for u, w in (out[v] if pi[v] is None else [pi[v]]))
+
+    targets = {v for v, dv in enumerate(d_prev) if dv == 0 and keeps(v, d_prev)}
+    d = list(d_prev)
+    while True:
+        d = longest_paths(game, pi, bound, targets, d)
+        left = {v for v in targets if not keeps(v, d)}
+        if not left:
+            return d
+        targets -= left

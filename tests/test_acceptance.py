@@ -15,7 +15,6 @@ from mpgsolve import (
     GenSpec,
     Owner,
     PositionalStrategy,
-    evaluate_strategy,
     generate,
     improve_strategy,
     memory_game,
@@ -32,7 +31,7 @@ from mpgsolve import (
 from mpgsolve.core import max_abs_weight
 from mpgsolve.errors import TimeLimitExceeded
 from mpgsolve.cli import main as cli_main
-from conftest import random_game
+from conftest import certified, evaluated, random_game
 from reference import oracle_value_sign
 
 INF = float("inf")
@@ -45,14 +44,14 @@ def _report(num: int, name: str, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    """2000 seeded games, |V| <= 7, W <= 4, bounds in 0..10, solved with all
-    debug checks enabled (entry conditions, descent, budgets)."""
+    """2000 seeded games, |V| <= 7, W <= 4, bounds in 0..10, each result
+    certified."""
     rng = random.Random(987001)
     corpus = []
     for _ in range(2000):
         g = random_game(rng, n_max=7, w_max=4)
         b = rng.randint(0, 10)
-        res = solve_lwub(g, b, check=True)
+        res = certified(g, b)
         corpus.append((g, b, res))
     return corpus
 
@@ -66,7 +65,7 @@ def test_criterion_01_oracle_equivalence_lwub(small_corpus):
 
 def test_criterion_02_oracle_equivalence_lb(small_corpus):
     for g, _, _ in small_corpus:
-        assert solve_lb(g, check=True).lwub == oracle_lb(g)
+        assert certified(g).lwub == oracle_lb(g)
     _report(2, "oracle equivalence, unbounded", "2000 games")
 
 
@@ -106,7 +105,7 @@ def test_criterion_03_vi_agreement():
     t0 = time.perf_counter()
     count = 0
     for g, b in _mixed_corpus():
-        assert vi_solve(g, b) == solve_lwub(g, b, check=True).lwub
+        assert vi_solve(g, b) == certified(g, b).lwub
         count += 1
     elapsed = time.perf_counter() - t0
     assert count >= 500
@@ -118,13 +117,16 @@ def test_criterion_04_sign_agreement():
     rng = random.Random(777)
     for _ in range(300):
         g = random_game(rng, n_max=6, w_max=4)
-        assert winning_sign(g, check=True) == oracle_value_sign(g)
+        sign = winning_sign(g)
+        assert sign == oracle_value_sign(g)
+        assert sign[1] == tuple(v for v, x in enumerate(certified(g).lwub) if x == INF)
     _report(4, "value-sign agreement", "300 games")
 
 
 def _manual_run(g, b):
     """Drive the solver loop through the public per-step operations,
-    returning every evaluation output (entry conditions checked each time)."""
+    returning every evaluation output (entry conditions checked each time,
+    and each output compared with the reference evaluation)."""
     pi = PositionalStrategy(
         Owner.MIN,
         {v: min(u for u, _ in g.out_adjacency[v]) for v in g.vertices_of(Owner.MIN)},
@@ -132,7 +134,7 @@ def _manual_run(g, b):
     d = [0] * g.vertex_count
     history = []
     while True:
-        d2 = evaluate_strategy(g, b, pi, d, check=True)
+        d2 = evaluated(g, b, pi, d)
         history.append(d2)
         pi2, changed = improve_strategy(g, d2, pi)
         if not changed:
@@ -156,25 +158,24 @@ def test_criterion_06_iteration_budgets(small_corpus):
         n = g.vertex_count
         w = max_abs_weight(g)
         assert res.iterations <= n * n * w + 1
-    # inner evaluation passes are asserted inside the solver (<= |V|), which
-    # ran with checks on for the whole corpus
+    # inner evaluation passes are asserted inside every solve (<= |V|)
     _report(6, "iteration budgets", "2000 solves")
 
 
 def test_criterion_07_entry_conditions(small_corpus):
-    # the whole small corpus was solved with check=True, so conditions (i)
-    # and (ii) were verified at every evaluation entry (condition (i) by a
-    # cycle test on the tight edges, at every size); the manual loop below
-    # re-exercises the checker through the public evaluation operation
-    entries = sum(len(_manual_run(g, b)) for g, b, _ in small_corpus[:200])
-    assert entries >= 200
+    # a solve checks conditions (i) and (ii) only at its first evaluation,
+    # so the manual loop checks them at every evaluation entry of the whole
+    # corpus (condition (i) by a cycle test on the tight edges, at every
+    # size), through the public evaluation operation
+    entries = sum(len(_manual_run(g, b)) for g, b, _ in small_corpus)
+    assert entries >= 2000
     _report(7, "entry conditions (i)/(ii)", f"{entries} checked entries")
 
 
 def test_criterion_08_min_needs_memory():
     g = memory_game()
     b = MEMORY_GAME_BOUND
-    res = solve_lwub(g, b, check=True)
+    res = certified(g, b)
     assert res.lwub == [0, 12, INF, INF]
     assert res.lwub == oracle_lwub(g, b)
     # neither positional strategy alone beats vertex 2

@@ -85,6 +85,28 @@ class TestSolve:
         assert "internal invariant failure: planted" in captured.err
         assert captured.out == ""
 
+    def test_check_certifies_the_answer(self, tmp_path, capsys, monkeypatch):
+        # a solve that answers one unit too high at vertex 1 of the memory
+        # game is written out as it is, but --check rejects it with exit 1
+        path = write_memory_game(tmp_path)
+        argv = ["solve", "--problem", "lwub", "--bound", "15", str(path)]
+        assert main(["solve", "--check", *argv[1:]]) == 0
+        assert capsys.readouterr().out == "v 0 0\nv 1 12\nv 2 inf\nv 3 inf\n"
+        solve = cli.kasi.solve_lwub
+
+        def tampered(game, bound, **kwargs):
+            res = solve(game, bound, **kwargs)
+            res.lwub[1] += 1
+            return res
+
+        monkeypatch.setattr("mpgsolve.kasi.solve_lwub", tampered)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "v 0 0\nv 1 13\nv 2 inf\nv 3 inf\n"
+        assert main(["solve", "--check", *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert "internal invariant failure: edge (1, 0) of weight -12 lets Max do with less than x(1) = 13" in captured.err
+        assert captured.out == ""
+
     def test_negative_bound_exits_2(self, tmp_path, capsys):
         path = write_memory_game(tmp_path)
         for algorithm in ("kasi", "vi"):

@@ -15,7 +15,6 @@ from mpgsolve import (
     ValidationError,
     ZeroOutDegree,
     core,
-    evaluate_strategy,
     induced_subgame,
     max_abs_weight,
     memory_game,
@@ -28,7 +27,7 @@ from mpgsolve import (
 )
 from mpgsolve import GenSpec, generate, parse_game, render_game
 from mpgsolve.core import SUBGAME_SELF_LOOP_WEIGHT
-from conftest import random_game
+from conftest import certified, evaluated, random_game
 
 INF = float("inf")
 
@@ -276,16 +275,16 @@ class TestAdjacencyLayout:
                            [e for e in g.edges if lightest.get(e[:2], e[2]) == e[2]])
         assert len(pruned.edges) < len(g.edges)
         assert max_abs_weight(pruned) == max_abs_weight(g)  # the same lb bound
-        assert solve_lb(g, check=True) == solve_lb(pruned, check=True)
-        assert solve_lwub(g, 10, check=True) == solve_lwub(pruned, 10, check=True)
+        assert certified(g) == certified(pruned)
+        assert certified(g, 10) == certified(pruned, 10)
         # Min chooses a target she has parallel edges to wherever she has one
         count = Counter(e[:2] for e in g.edges)
         strategy = PositionalStrategy(Owner.MIN, {
             v: max(g.out_adjacency[v], key=lambda e: count[v, e[0]])[0] for v in g.vertices_of(Owner.MIN)
         })
         d_prev = [0] * g.vertex_count
-        want = evaluate_strategy(pruned, 10, strategy, d_prev, check=True)
-        assert evaluate_strategy(g, 10, strategy, d_prev, check=True) == want
+        want = evaluated(pruned, 10, strategy, d_prev)
+        assert evaluated(g, 10, strategy, d_prev) == want
 
 
 class TestImmutableLayout:

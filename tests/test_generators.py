@@ -65,8 +65,13 @@ class TestSprand:
         (GenSpec(family="supply", sites=2, max_request=0), "supply needs sites >= 1 and max_request >= 1"),
         (GenSpec(family="supply", refill=0), "refill must be positive"),
         (GenSpec(family="taxi", zones=1), "taxi needs zones >= 2"),
+        # a field another family reads is checked too
+        (GenSpec(family="sprand", n=3, added_cycles=-3, cycle_len=-5), "added_cycles must be >= 0"),
+        (GenSpec(family="torus", rows=2, cols=2, cycle_len=0), "cycle_len must be >= 1"),
+        (GenSpec(family="collect", weight_lo=5, weight_hi=1), r"empty weight range \[5, 1\]"),
+        (GenSpec(family="taxi", edge_factor=float("nan")), "sprand needs a finite edge_factor >= 1"),
     ], ids=["edge_factor", "n", "cycle_len", "added_cycles", "torus", "layered", "collect", "docks", "supply",
-            "refill", "taxi"])
+            "refill", "taxi", "sprand-added_cycles", "torus-cycle_len", "collect-weights", "taxi-edge_factor"])
     def test_invalid_factor(self, spec, message):
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
             generate(spec)

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +11,13 @@ from mpgsolve import (
     GameGraph,
     InvalidStrategy,
     InvariantViolation,
+    MinWitness,
     Owner,
     PositionalStrategy,
     PreconditionViolated,
     TimeLimitExceeded,
     WitnessIncomplete,
+    certify,
     evaluate_strategy,
     improve_strategy,
     memory_game,
@@ -28,7 +31,7 @@ from mpgsolve import (
 )
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
 from mpgsolve.core import reduction_bound, validate_strategy
-from conftest import random_game
+from conftest import certified, evaluated, random_game
 from reference import expand_witness, one_vertex_game
 from test_properties import SETTINGS, games
 
@@ -39,27 +42,27 @@ MAX = Owner.MAX
 MIN = Owner.MIN
 
 
-def longest(game, bound, targets, potentials):
-    """The solver's longest admissible path weights to ``targets`` on a game
-    without Min vertices, where Min's choice is None at every vertex and no
-    strategy restricts the search."""
-    return kasi._dijkstra(game, [None] * game.vertex_count, bound, targets, potentials)
+def longest(game, bound):
+    """The solver's longest admissible path weights on a game without Min
+    vertices, from entry values all 0: the targets are the vertices that
+    keep a non-negative edge."""
+    return evaluated(game, bound, PositionalStrategy(MIN, {}), [0] * game.vertex_count)
 
 
 class TestDijkstraLongest:
     def test_target_distance_is_zero(self):
         g = one_vertex_game(0)
-        assert longest(g, 5, {0}, [0]) == [0]
+        assert longest(g, 5) == [0]
 
     def test_suffix_condition_kills_path(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -4), (1, 1, 0)])
-        assert longest(g, 3, {1}, [0, 0]) == [NEG, 0]
+        assert longest(g, 3) == [NEG, 0]
 
     def test_admissible_path_survives(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -4), (1, 1, 0)])
         # energy-state oracle gives 4 in the one-player game
         assert oracle_lwub(g, 4) == [4, 0]
-        assert longest(g, 4, {1}, [0, 0]) == [-4, 0]
+        assert longest(g, 4) == [-4, 0]
 
     def test_diamond_takes_least_negative_path(self):
         # u=0, v1=1, v2=2, t=3: both branches enumerated by hand
@@ -68,12 +71,16 @@ class TestDijkstraLongest:
             [MAX] * 4,
             [(0, 1, -2), (0, 2, -5), (1, 3, -1), (2, 3, 0), (3, 3, 0)],
         )
-        assert longest(g, 10, {3}, [0] * 4) == [-3, -1, 0, 0]
+        assert longest(g, 10) == [-3, -1, 0, 0]
 
     def test_positive_transformed_edge_detected(self):
-        g = GameGraph(2, [MAX, MAX], [(0, 1, 1), (1, 1, 0)])
+        # potentials all 0 break entry condition (ii) at vertex 0, whose +1
+        # edge into vertex 1 the search relaxes once it settles 1; a pass
+        # from an empty forest with roots 0 and 1 gets there, as no checked
+        # input does
+        g = GameGraph(3, [MAX] * 3, [(0, 1, 1), (1, 2, 0), (2, 2, 0)])
         with pytest.raises(InvariantViolation, match=re.escape("edge (0, 1) has transformed weight 1 > 0")):
-            longest(g, 5, {1}, [0, 0])
+            kasi._repair(g, [None] * 3, 5, [0, 0, 0], [-1] * 3, [0, 1], core.deadline_after(None))
 
 
 def zero_strategy(g):
@@ -85,30 +92,30 @@ def zero_strategy(g):
 class TestEvaluateStrategy:
     def test_fixpoint_at_entry(self):
         g = GameGraph(2, [MAX, MIN], [(0, 0, 0), (1, 1, 1)])
-        d = evaluate_strategy(g, 7, zero_strategy(g), [0, 0], check=True)
+        d = evaluated(g, 7, zero_strategy(g), [0, 0])
         assert d == [0, 0]
 
     def test_one_player_chain(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -5), (1, 1, 0)])
         assert oracle_lwub(g, 5) == [5, 0]
-        d = evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [0, 0], check=True)
+        d = evaluated(g, 5, PositionalStrategy(MIN, {}), [0, 0])
         assert d == [-5, 0]
 
     def test_draining_cycle_dies(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -3), (1, 0, 1)])
         assert oracle_lwub(g, 15) == [INF, INF]
-        d = evaluate_strategy(g, 15, PositionalStrategy(MIN, {}), [0, 0], check=True)
+        d = evaluated(g, 15, PositionalStrategy(MIN, {}), [0, 0])
         assert d == [NEG, NEG]
 
     def test_entry_condition_ii_detected(self):
         g = GameGraph(1, [MAX], [(0, 0, 1)])
         with pytest.raises(PreconditionViolated) as err:
-            evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1], check=True)
+            evaluated(g, 5, PositionalStrategy(MIN, {}), [-1])
         assert err.value.which == "ii"
 
     def test_entry_condition_i_detected(self):
         # zero-weight cycles: a Max self-loop, a Max 2-cycle beside a -3 loop
-        # (the unchecked pair once returned [-inf] and [-inf, -inf] on these
+        # (the public pair once returned [-inf] and [-inf, -inf] on these
         # two, where d_prev at 0 gives [0] and [-1, 0]), and a ring of 70
         # vertices (the check once skipped cores above 64), alternating Max
         # and Min with Min's choice on the ring and her other edge into B = {70}
@@ -122,32 +129,27 @@ class TestEvaluateStrategy:
             (GameGraph(2, [MAX, MAX], [(0, 1, -1), (1, 0, 1), (1, 1, -3)]), {}, [-2, -1]),
             (ring, {v: (v + 1) % 70 for v in range(1, 70, 2)}, [-1] * 70 + [0]),
         ]:
-            for check in (False, True):
-                with pytest.raises(PreconditionViolated) as err:
-                    evaluate_strategy(g, 5, PositionalStrategy(MIN, choice), d_prev, check=check)
-                assert err.value.which == "i"
+            with pytest.raises(PreconditionViolated) as err:
+                evaluated(g, 5, PositionalStrategy(MIN, choice), d_prev)
+            assert err.value.which == "i"
 
-    def test_check_mode_changes_no_answer(self, rng):
-        # on small games from arbitrary d_prev, the unchecked and the checked
-        # pair return equal values or reject the same entry condition
-        def outcome(g, strategy, d_prev, check):
-            try:
-                return evaluate_strategy(g, 5, strategy, d_prev, check=check)
-            except PreconditionViolated as err:
-                return err.which
-
+    def test_evaluation_matches_the_reference(self, rng):
+        # on small games from arbitrary d_prev, the public pair returns the
+        # reference evaluation's values or rejects an entry condition
         seen = set()
         for _ in range(3000):
             g = random_game(rng, n_max=6)
             strategy = PositionalStrategy(MIN, {v: rng.choice(g.out_adjacency[v])[0] for v in g.vertices_of(MIN)})
             d_prev = [rng.choice([0, -1, -2, -5, NEG]) for _ in range(g.vertex_count)]
-            got = outcome(g, strategy, d_prev, False)
-            assert got == outcome(g, strategy, d_prev, True), (g, strategy, d_prev)
-            seen.add(got if isinstance(got, str) else "values")
+            try:
+                evaluated(g, 5, strategy, d_prev)
+                seen.add("values")
+            except PreconditionViolated as err:
+                seen.add(err.which)
         assert seen == {"values", "i", "ii"}
 
     def test_positive_entry_value_detected(self):
-        # the public pair rejects such a d_prev before check mode sees it
+        # the public pair rejects such a d_prev before the scan's own test
         g = GameGraph(2, [MAX, MAX], [(0, 1, 0), (1, 1, 0)])
         with pytest.raises(PreconditionViolated, match=re.escape("d(0) = 1 > 0")) as err:
             kasi._entry(g, [None, None], [1, 0])
@@ -157,7 +159,8 @@ class TestEvaluateStrategy:
         # potentials breaking entry condition (ii) at vertex 0, whose +1 loop
         # once raised d(0) by 1 per pop without end; the push count bounds
         # the test instead of hanging it.  The public pair now stops such a
-        # d_prev at entry, so the search is called directly
+        # d_prev at entry, so one pass is called directly, from an empty
+        # forest with vertex 0 its root
         g = GameGraph(2, [MAX, MAX], [(0, 0, 1), (0, 1, 0), (1, 1, 0)])
         pushes = 0
 
@@ -169,12 +172,11 @@ class TestEvaluateStrategy:
             heapq.heappush(heap, item)
 
         monkeypatch.setattr(kasi, "heappush", counting_push)
-        with pytest.raises(InvariantViolation, match=re.escape("edge (0, 1) has transformed weight 1 > 0")):
-            kasi._dijkstra(g, [None, None], 5, {1}, [-1, 0])
-        for check in (False, True):
-            with pytest.raises(PreconditionViolated) as err:
-                evaluate_strategy(g, 5, PositionalStrategy(MIN, {}), [-1, 0], check=check)
-            assert err.value.which == "ii"
+        with pytest.raises(InvariantViolation, match=re.escape("edge (0, 0) has transformed weight 1 > 0")):
+            kasi._repair(g, [None, None], 5, [-1, 0], [-1, -1], [0], core.deadline_after(None))
+        with pytest.raises(PreconditionViolated) as err:
+            evaluated(g, 5, PositionalStrategy(MIN, {}), [-1, 0])
+        assert err.value.which == "ii"
 
 
 class TestValueVectorLength:
@@ -230,7 +232,7 @@ class TestImproveStrategy:
         # lighter parallel of the current choice never counts as a switch
         g = GameGraph(2, [MIN, MAX], [(0, 1, -1), (0, 1, -5), (1, 1, 0)])
         assert oracle_lwub(g, 10) == [5, 0]
-        d = evaluate_strategy(g, 10, PositionalStrategy(MIN, {0: 1}), [0, 0], check=True)
+        d = evaluated(g, 10, PositionalStrategy(MIN, {0: 1}), [0, 0])
         assert d == [-5, 0]
         new, changed = improve_strategy(g, d, PositionalStrategy(MIN, {0: 1}))
         assert not changed
@@ -246,10 +248,10 @@ class TestImproveStrategy:
                       [(0, 3, -2), (0, 2, -2), (0, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)])
         # at bound 10 >= (n - 1) * W = 6 the witness keeps the last strategy
         # alone, at bound 5 the whole sequence
-        res = solve_lwub(g, 10, check=True)
+        res = certified(g, 10)
         assert [s.choice for s in res.min_witness.strategies] == [{0: 2}]
         assert res.lwub == oracle_lwub(g, 10) == [2, 0, 0, 0]
-        res = solve_lwub(g, 5, check=True)
+        res = certified(g, 5)
         assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
         assert res.lwub == oracle_lwub(g, 5) == [2, 0, 0, 0]
 
@@ -261,8 +263,8 @@ class TestImproveStrategy:
         ])
         new, changed = improve_strategy(g, [0] * 4, PositionalStrategy(MIN, {0: 1}))
         assert changed and new.choice == {0: 2}
-        assert evaluate_strategy(g, 10, new, [0] * 4, check=True) == [-5, 0, 0, 0]
-        res = solve_lwub(g, 10, check=True)
+        assert evaluated(g, 10, new, [0] * 4) == [-5, 0, 0, 0]
+        res = certified(g, 10)
         assert [s.choice for s in res.min_witness.strategies] == [{0: 1}, {0: 2}]
         assert res.final_d == [-5, 0, 0, 0]
         assert res.lwub == oracle_lwub(g, 10) == [5, 0, 0, 0]
@@ -275,7 +277,7 @@ class TestImproveStrategy:
             (0, 2, -2), (1, 3, 6), (1, 5, -5), (1, 5, 3), (2, 0, 2), (2, 1, 3),
             (2, 3, -4), (3, 4, -3), (4, 1, 3), (5, 0, -3), (5, 0, -2), (5, 1, -1),
         ])
-        res = solve_lwub(g, 7, check=True)
+        res = certified(g, 7)
         assert [s.choice[2] for s in res.min_witness.strategies] == [0, 3, 0]
         assert res.iterations == 3
         assert res.lwub == oracle_lwub(g, 7) == [INF, 0, INF, 3, 0, 1]
@@ -287,19 +289,19 @@ class TestSolveLwub:
         for _ in range(20):
             g = random_game(rng)
             g = GameGraph(g.vertex_count, g.owners, [(u, v, abs(w)) for u, v, w in g.edges])
-            res = solve_lwub(g, rng.randint(0, 10), check=True)
+            res = certified(g, rng.randint(0, 10))
             assert res.lwub == [0] * g.vertex_count
             assert res.iterations == 1
 
     def test_memory_game_answers(self):
-        res = solve_lwub(memory_game(), MEMORY_GAME_BOUND, check=True)
+        res = certified(memory_game(), MEMORY_GAME_BOUND)
         assert res.lwub == [0, 12, INF, INF]
         assert res.final_d == [0, -12, NEG, NEG]
 
     def test_two_vertex_duel(self):
         g = two_vertex_duel()
         assert oracle_lwub(g, 3) == [0, 3]
-        assert solve_lwub(g, 3, check=True).lwub == [0, 3]
+        assert certified(g, 3).lwub == [0, 3]
 
     def test_negative_bound_rejected(self):
         with pytest.raises(InvalidSpec, match="bound must be a non-negative int, got -1"):
@@ -322,19 +324,19 @@ class TestSolveLwub:
         for _ in range(400):
             g = random_game(rng, n_max=8, w_max=4)
             b = rng.randint(0, 12)
-            assert solve_lwub(g, b, check=True).lwub == oracle_lwub(g, b)
+            assert certified(g, b).lwub == oracle_lwub(g, b)
 
 
 class TestSolveLb:
     def test_zero_loop(self):
-        assert solve_lb(one_vertex_game(0), check=True).lwub == [0]
+        assert certified(one_vertex_game(0)).lwub == [0]
 
     def test_negative_loop(self):
-        assert solve_lb(one_vertex_game(-1), check=True).lwub == [INF]
+        assert certified(one_vertex_game(-1)).lwub == [INF]
 
     def test_two_cycle(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, 2), (1, 0, -1)])
-        assert solve_lb(g, check=True).lwub == [0, 1]
+        assert certified(g).lwub == [0, 1]
 
     def test_winning_sign_trivials(self):
         g = GameGraph(2, [MAX, MIN], [(0, 1, 3), (1, 0, 0)])
@@ -344,12 +346,12 @@ class TestSolveLb:
 
 class TestMaxStrategy:
     def test_nonnegative_self_loop_kept(self):
-        res = solve_lwub(one_vertex_game(0), 4, check=True)
+        res = certified(one_vertex_game(0), 4)
         assert res.max_strategy.choice == {0: 0}
 
     def test_forest_edge_followed(self):
         g = GameGraph(2, [MAX, MAX], [(0, 1, -2), (1, 1, 0)])
-        res = solve_lwub(g, 2, check=True)
+        res = certified(g, 2)
         assert res.max_strategy.choice == {0: 1, 1: 1}
 
     def test_choice_is_the_first_covering_edge(self, rng):
@@ -361,7 +363,7 @@ class TestMaxStrategy:
                   (generate(_TORUS), solve_lb), (generate(_PARALLEL), solve_lb)]
         for _ in range(100):
             b = rng.randint(0, 10)
-            solves.append((random_game(rng), lambda g, b=b: solve_lwub(g, b, check=True)))
+            solves.append((random_game(rng), lambda g, b=b: certified(g, b)))
         for g, solve in solves:
             res = solve(g)
             d = res.final_d
@@ -376,7 +378,7 @@ class TestMaxStrategy:
         for _ in range(100):
             g = random_game(rng)
             b = rng.randint(0, 10)
-            res = solve_lwub(g, b, check=True)
+            res = certified(g, b)
             fixed = restrict_to_strategy(g, res.max_strategy)
             against = oracle_lwub(fixed, b)
             for v in range(g.vertex_count):
@@ -387,7 +389,7 @@ class TestMaxStrategy:
 class TestMinWitness:
     def test_single_losing_loop(self):
         g = one_vertex_game(-1, owner=MIN)
-        res = solve_lwub(g, 5, check=True)
+        res = certified(g, 5)
         assert res.lwub == [INF]
         assert len(res.min_witness.strategies) == 1
         trace = verify_min_witness(g, 5, res.min_witness, 0, 100)
@@ -396,7 +398,7 @@ class TestMinWitness:
 
     def test_memory_game_segment(self):
         g = memory_game()
-        res = solve_lwub(g, MEMORY_GAME_BOUND, check=True)
+        res = certified(g, MEMORY_GAME_BOUND)
         trace = verify_min_witness(g, MEMORY_GAME_BOUND, res.min_witness, 2, MEMORY_GAME_BOUND)
         assert trace.vertices == (2, 3, 2, 0)
         assert trace.min_segment_weight() == -20
@@ -406,7 +408,7 @@ class TestMinWitness:
         for _ in range(200):
             g = random_game(rng, n_max=6)
             b = rng.randint(0, 8)
-            res = solve_lwub(g, b, check=True)
+            res = certified(g, b)
             for v in range(g.vertex_count):
                 if res.lwub[v] == INF:
                     seen += 1
@@ -418,7 +420,7 @@ class TestMinWitness:
         # from energy 3 the -1 loop loses in four steps; a checker that took
         # the first or the heaviest parallel edge, +1, would let Max survive
         g = GameGraph(1, [MIN], [(0, 0, 1), (0, 0, -1)])
-        res = solve_lwub(g, 3, check=True)
+        res = certified(g, 3)
         assert res.lwub == [INF]
         trace = verify_min_witness(g, 3, res.min_witness, 0, 3)
         assert trace.vertices == (0, 0, 0, 0, 0)
@@ -426,7 +428,7 @@ class TestMinWitness:
 
     def test_verify_rejects_winnable_vertex(self):
         g = one_vertex_game(0)
-        res = solve_lwub(g, 3, check=True)
+        res = certified(g, 3)
         with pytest.raises(InvalidSpec):
             verify_min_witness(g, 3, res.min_witness, 0, 3)
 
@@ -434,7 +436,7 @@ class TestMinWitness:
         # claim vertex 2 of the memory game dies under the strategy that
         # always plays 2 -> 3: Max survives the non-negative 2/3 cycle
         g = memory_game()
-        res = solve_lwub(g, MEMORY_GAME_BOUND, check=True)
+        res = certified(g, MEMORY_GAME_BOUND)
         from mpgsolve import MinWitness
 
         broken = MinWitness(
@@ -466,7 +468,7 @@ class TestMinWitness:
         from mpgsolve import MinWitness
 
         g = memory_game()
-        witness = solve_lwub(g, MEMORY_GAME_BOUND, check=True).min_witness
+        witness = certified(g, MEMORY_GAME_BOUND).min_witness
         witness = MinWitness(witness.strategies if strategies is None else strategies,
                              witness.death_index if death is None else death)
         with pytest.raises(error) as err:
@@ -491,7 +493,7 @@ class TestOneBlockWitness:
 
     @staticmethod
     def losing_vertices_checked(g):
-        res = solve_lb(g, check=True)
+        res = certified(g)
         witness = res.min_witness
         assert len(witness.strategies) == 1
         bound = reduction_bound(g)
@@ -515,22 +517,25 @@ class TestOneBlockWitness:
         g = memory_game()
         b = MEMORY_GAME_BOUND
         assert b < (g.vertex_count - 1) * core.max_abs_weight(g) == 39
-        res = solve_lwub(g, b, check=True)
+        res = certified(g, b)
         strategies = res.min_witness.strategies
         assert len(strategies) > 1
         for strategy in strategies:  # neither block alone beats vertex 2
             assert vi_solve(restrict_to_strategy(g, strategy), b)[2] != INF
         verify_min_witness(g, b, res.min_witness, 2, b)
 
-    def test_check_mode_tests_the_trap(self):
+    def test_certificate_tests_the_trap(self):
         # Max's vertex 0 has an edge into the finite vertex 1, and Min's
         # vertex 2 chooses either 1 or her own -1 loop
         g = GameGraph(3, [MAX, MAX, MIN], [(0, 0, -1), (0, 1, 0), (1, 1, 0), (2, 1, 0), (2, 2, -1)])
-        kasi._check_trap(g, [None, None, (2, -1)], [0, 0, NEG])
-        for pi, d, edge in [([None, None, (2, -1)], [NEG, 0, NEG], "(0, 1)"),
-                            ([None, None, (1, 0)], [0, 0, NEG], "(2, 1)")]:
-            with pytest.raises(InvariantViolation, match=re.escape(f"edge {edge} leaves the -inf set")):
-                kasi._check_trap(g, pi, d)
+        res = certified(g)
+        assert res.lwub == [0, 0, INF]
+        assert res.min_witness == MinWitness([PositionalStrategy(MIN, {2: 2})], [None, None, 0])
+        for lwub, choice, edge in [([INF, 0, INF], {2: 2}, "(0, 1)"), ([0, 0, INF], {2: 1}, "(2, 1)")]:
+            death = [0 if x == INF else None for x in lwub]
+            wrong = replace(res, lwub=lwub, min_witness=MinWitness([PositionalStrategy(MIN, choice)], death))
+            with pytest.raises(InvariantViolation, match=re.escape(f"edge {edge} leaves the losing set")):
+                certify(g, reduction_bound(g), wrong)
 
 
 class TestEnergyBounds:
@@ -547,11 +552,11 @@ class TestEnergyBounds:
         for _ in range(100):
             g = random_game(rng)
             b = rng.randint(0, 10)
-            for x in solve_lwub(g, b, check=True).lwub:
+            for x in certified(g, b).lwub:
                 assert x == INF or 0 <= x <= b
             n = g.vertex_count
             w = max((abs(w) for _, _, w in g.edges), default=0)
-            for x in solve_lb(g, check=True).lwub:
+            for x in certified(g).lwub:
                 assert x == INF or 0 <= x <= (n - 1) * w
 
 
@@ -582,32 +587,6 @@ class TestBudgets:
         with pytest.raises(TimeLimitExceeded):
             solve_lwub(g, n, time_limit=100)
         assert pops <= core.DEADLINE_STRIDE < n // 4
-
-    def test_time_limit_interrupts_check_modes_reference_search(self, monkeypatch):
-        # The chain of the test above plus a -> b -> c -> n - 1, with a's
-        # 0-edge going negative in the first pass.  That pass repairs the
-        # chain in n + 1 pops, and check mode compares it with a full
-        # search, whose poll after 28,193 pops in all ends the solve.  The
-        # clock ticks once per heap pop.
-        n = 20000
-        a, b, c = n + 2, n + 1, n
-        g = GameGraph(n + 3, [MAX] * (n + 3), [(v, v + 1, -1) for v in range(n - 1)]
-                      + [(n - 1, n - 1, 0), (c, n - 1, -1), (b, c, -1), (a, b, 0)])
-        pops = 0
-
-        def counting_pop(heap):
-            nonlocal pops
-            pops += 1
-            return heapq.heappop(heap)
-
-        monkeypatch.setattr(kasi, "heappop", counting_pop)
-        monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: pops))
-        assert solve_lwub(g, n, check=True).lwub[a] == 2
-        assert pops >= 2 * n  # the first pass and the reference search
-        pops = 0
-        with pytest.raises(TimeLimitExceeded):
-            solve_lwub(g, n, check=True, time_limit=n + n // 4)
-        assert pops <= n + n // 4 + core.DEADLINE_STRIDE
 
     def test_no_limit_is_a_clock_that_never_expires(self):
         assert core.deadline_after(None)() is None
@@ -640,7 +619,7 @@ class TestBudgets:
         for _ in range(100):
             g = random_game(rng)
             b = rng.randint(0, 10)
-            res = solve_lwub(g, b, check=True)
+            res = certified(g, b)
             n = g.vertex_count
             w = max((abs(w) for _, _, w in g.edges), default=0)
             assert res.iterations <= n * n * w + 1
@@ -674,7 +653,7 @@ class TestWitnessReplay:
             d = [0] * g.vertex_count
             death = [None] * g.vertex_count
             for k, strategy in enumerate(strategies):
-                d = evaluate_strategy(g, bound, strategy, d)
+                d = evaluated(g, bound, strategy, d)
                 for v, dv in enumerate(d):
                     if dv == NEG and death[v] is None:
                         death[v] = k

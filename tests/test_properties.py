@@ -1,7 +1,5 @@
-"""Property tests: KASI in check mode, and VI, against the brute-force oracle.
-
-``check=True`` also compares every incremental evaluation pass with a full
-search, so these games exercise the subtree repair as well as the answers.
+"""Property tests: KASI, its results certified, and VI, against the
+brute-force oracle.
 The game strategies reach what ``random_game`` rarely or never draws: games
 that are not strongly connected, single-owner games, bound 0, and parallel
 edges and self-loops on purpose.
@@ -10,7 +8,8 @@ edges and self-loops on purpose.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpgsolve import GameGraph, Owner, max_abs_weight, oracle_lb, oracle_lwub, solve_lb, solve_lwub, vi_solve
+from mpgsolve import GameGraph, Owner, max_abs_weight, oracle_lb, oracle_lwub, vi_solve
+from conftest import certified
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 OWNERS = st.sampled_from([Owner.MAX, Owner.MIN])
@@ -53,7 +52,7 @@ def _self_loops(n):
 @given(games(), st.integers(0, 8))
 def test_lwub_matches_oracle(game, bound):
     want = oracle_lwub(game, bound)
-    assert solve_lwub(game, bound, check=True).lwub == want
+    assert certified(game, bound).lwub == want
     assert vi_solve(game, bound) == want
 
 
@@ -61,7 +60,7 @@ def test_lwub_matches_oracle(game, bound):
 @given(games(split=True), st.integers(0, 8))
 def test_not_strongly_connected(game, bound):
     want = oracle_lwub(game, bound)
-    assert solve_lwub(game, bound, check=True).lwub == want
+    assert certified(game, bound).lwub == want
     assert vi_solve(game, bound) == want
 
 
@@ -69,14 +68,14 @@ def test_not_strongly_connected(game, bound):
 @given(games(owner=st.just(Owner.MAX)) | games(owner=st.just(Owner.MIN)), st.integers(0, 8))
 def test_single_owner(game, bound):
     want = oracle_lwub(game, bound)
-    assert solve_lwub(game, bound, check=True).lwub == want
+    assert certified(game, bound).lwub == want
     assert vi_solve(game, bound) == want
 
 
 @SETTINGS
 @given(games())
 def test_bound_zero(game):
-    got = solve_lwub(game, 0, check=True).lwub
+    got = certified(game, 0).lwub
     assert got == oracle_lwub(game, 0)
     assert vi_solve(game, 0) == got
     assert all(x in (0, float("inf")) for x in got)
@@ -86,7 +85,7 @@ def test_bound_zero(game):
 @given(st.integers(1, 5).flatmap(_self_loops), st.integers(0, 8))
 def test_self_loops(game, bound):
     want = oracle_lwub(game, bound)
-    assert solve_lwub(game, bound, check=True).lwub == want
+    assert certified(game, bound).lwub == want
     assert vi_solve(game, bound) == want
 
 
@@ -94,6 +93,6 @@ def test_self_loops(game, bound):
 @given(games(n_max=5))
 def test_lb_matches_oracle(game):
     want = oracle_lb(game)
-    assert solve_lb(game, check=True).lwub == want
+    assert certified(game).lwub == want
     # the unbounded answers are the bounded ones at the reduction bound
     assert vi_solve(game, (game.vertex_count - 1) * max_abs_weight(game)) == want

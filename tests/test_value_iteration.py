@@ -6,13 +6,12 @@ import pytest
 from mpgsolve import (
     GameGraph,
     Owner,
-    solve_lwub,
     two_vertex_duel,
     vi_solve,
 )
 from mpgsolve import core
 from mpgsolve.errors import TimeLimitExceeded
-from conftest import random_game
+from conftest import certified, random_game
 from reference import ViState, one_vertex_game, vi_step
 
 INF = float("inf")
@@ -76,7 +75,7 @@ class TestSolve:
         for _ in range(300):
             g = random_game(rng, n_max=8)
             b = rng.randint(0, 10)
-            assert vi_solve(g, b) == solve_lwub(g, b, check=True).lwub
+            assert vi_solve(g, b) == certified(g, b).lwub
 
     def test_plain_and_worklist_agree(self, rng):
         for _ in range(100):
