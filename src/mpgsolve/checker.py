@@ -237,11 +237,11 @@ def _check_losing_set(game, x, sigma, losing):
     vertex, and ``sigma``'s choice at a losing Min vertex, leads to a
     losing vertex, and unless the losing vertices hold no cycle of weight
     ``>= 0`` under those moves (see :func:`certify`)."""
-    n = game.vertex_count
+    n, out, owners = game.vertex_count, game.out_adjacency, game.owners
     rows = {}
     for v in losing:
-        row = game.out_adjacency[v]
-        if game.owners[v] is Owner.MIN:
+        row = out[v]
+        if owners[v] is Owner.MIN:
             u = sigma[v]
             row = [(u, min(w for t, w in row if t == u))]
         for u, _ in row:

@@ -15,8 +15,10 @@ generation, :func:`induced_subgame` and :func:`restrict_to_strategy`)
 yields one that passes :func:`validate`, the one place that decides whether
 a game is well formed and inside the 64-bit envelope; the solvers take that
 for granted.  :func:`reduction_bound` is the one place that derives the lb
-reduction bound and checks its envelope.  A graph's edges, adjacency rows
-and outer adjacency sequences are tuples, so a write into them raises; its
+reduction bound and checks its envelope.  A graph holds its edges, and
+builds its adjacency rows from them on first read, so a game that no
+search reads never pays for rows.  Its edges, adjacency rows and outer
+adjacency sequences are tuples, so a write into them raises; its
 attributes cannot be rebound.  Graphs are safe to share between solver
 runs; strategies and vectors are independent values.
 """
@@ -67,46 +69,62 @@ class GameGraph:
     """Finite weighted digraph with per-vertex ownership, valid by construction.
 
     Parallel edges and self-loops are permitted.  The constructor converts
-    no field: it stores the count, the owners and the edges as given, builds
-    the adjacency rows and runs :func:`validate`, so every graph that
-    exists passes it and no solver checks a graph again.
-    ``out_adjacency[u]`` holds a ``(v, w)`` pair per edge ``(u, v, w)``;
-    ``in_adjacency[v]`` holds the very triples of ``edges`` whose head is
-    ``v``, so an edge costs one triple and one pair.  Both keep input order.
-    The rows and both outer sequences are tuples and the attributes cannot
-    be rebound, so a write raises instead of bypassing the only check.
-    Parsing, the ``sprand``, ``torus`` and ``layered`` generators and
-    :func:`induced_subgame` take every vertex id from one
+    no field: it stores the count, the owners and the edge triples as given
+    and runs :func:`validate`, so every graph that exists passes it and no
+    solver checks a graph again.  The adjacency rows are built from the
+    edges on first read and kept: ``out_adjacency[u]`` holds a ``(v, w)``
+    pair per edge ``(u, v, w)``; ``in_adjacency[v]`` holds the very triples
+    of ``edges`` whose head is ``v``.  Both keep input order.  A game that
+    no search reads, such as one generated, cut and rendered, holds one
+    triple per edge; once both row sets are read, an edge costs one triple
+    and one pair.  The edges, the rows and both outer sequences are tuples
+    and no attribute can be rebound, so a write raises instead of bypassing
+    the only check.  Parsing, the ``sprand``, ``torus`` and ``layered``
+    generators and :func:`induced_subgame` take every vertex id from one
     ``list(range(n))``, so each id is one int object however many edges
     name it; that saves memory only above 256 vertices, since CPython
     already caches smaller ints.
     """
 
-    __slots__ = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency")
+    __slots__ = ("vertex_count", "owners", "edges", "_out", "_in")
 
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
-        n = vertex_count
         for name, value in (("owners", owners), ("edges", edges)):
             if not isinstance(value, Iterable):
                 raise ValidationError(f"{name} {value!r} is not iterable")
-        owners = tuple(owners)
-        edges = tuple(edges)  # read once (parsing passes a zip) and kept for validate
-        out = inc = ()
+        edges = tuple(edges)  # read once: parsing passes a zip
         try:
-            edges = tuple(map(tuple, edges))  # TypeError at an edge that is not iterable
-            if len(owners) == n:  # else validate rejects the count before a row is built
-                out = [[] for _ in range(n)]
-                inc = [[] for _ in range(n)]
-            for e in edges:
-                u, v, w = e  # a negative id lands in a row from the end
-                out[u].append((v, w))
-                inc[v].append(e)
-        except (TypeError, ValueError, IndexError):
-            pass  # a field of the wrong type, shape or range, which validate names
-        values = (n, owners, edges, tuple(map(tuple, out)), tuple(map(tuple, inc)))
+            edges = tuple(map(tuple, edges))
+        except TypeError:
+            pass  # an edge that is not iterable, which validate names
+        values = (vertex_count, tuple(owners), edges, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         validate(self)
+
+    @property
+    def out_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, a ``(v, w)`` pair per out-edge, built on first read."""
+        rows = self._out
+        if rows is None:
+            out = [[] for _ in range(self.vertex_count)]
+            for u, v, w in self.edges:
+                out[u].append((v, w))
+            rows = tuple(map(tuple, out))
+            object.__setattr__(self, "_out", rows)
+        return rows
+
+    @property
+    def in_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per vertex, the edge triples that enter it, built on first read."""
+        rows = self._in
+        if rows is None:
+            inc = [[] for _ in range(self.vertex_count)]
+            for e in self.edges:
+                inc[e[1]].append(e)
+            rows = tuple(map(tuple, inc))
+            object.__setattr__(self, "_in", rows)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GameGraph attribute {name!r} cannot be rebound")
@@ -186,6 +204,7 @@ def validate(graph: GameGraph) -> None:
     if not {*map(type, graph.owners)} <= {Owner}:
         v, o = next((v, o) for v, o in enumerate(graph.owners) if type(o) is not Owner)
         raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
+    has_out = bytearray(n)
     for e in graph.edges:
         try:
             u, v, w = e
@@ -195,8 +214,9 @@ def validate(graph: GameGraph) -> None:
             raise ValidationError(f"edge {e!r} is not a triple of ints")
         if not (0 <= u < n and 0 <= v < n):
             raise DanglingEdge(e)
-    if not all(graph.out_adjacency):
-        raise ZeroOutDegree(graph.out_adjacency.index(()))
+        has_out[u] = 1
+    if 0 in has_out:
+        raise ZeroOutDegree(has_out.index(0))
     if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
         raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
 

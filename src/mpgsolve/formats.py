@@ -159,12 +159,12 @@ def _int(token: str, lineno: int) -> int:
 
 
 def render_game(graph: GameGraph) -> str:
-    """The game text, edges in ``sorted(graph.edges)`` order: by source, as
-    the out-adjacency rows are, and each row sorted."""
+    """The game text, edges in ``sorted(graph.edges)`` order: by source,
+    then target, then weight.  It reads no adjacency row."""
     lines = [f"p mpg {graph.vertex_count} {len(graph.edges)}"]
     max_ = Owner.MAX
     lines += [f"o {v} {'MAX' if o is max_ else 'MIN'}" for v, o in enumerate(graph.owners)]
-    lines += [f"e {u} {v} {w}" for u, row in enumerate(graph.out_adjacency) for v, w in sorted(row)]
+    lines += [f"e {u} {v} {w}" for u, v, w in sorted(graph.edges)]
     return "\n".join(lines) + "\n"
 
 

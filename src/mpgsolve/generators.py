@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .core import INF, GameGraph, Owner
 from .errors import InvalidSpec
@@ -81,17 +80,29 @@ def _rng(spec: GenSpec, phase: int) -> random.Random:
     return random.Random(spec.seed * 8 + phase)
 
 
+def _below(rng: random.Random, width: int) -> int:
+    """The draw ``rng.randrange(width)`` makes for a positive ``width``, on
+    the same stream, without its Python-level call chain: ``getrandbits``
+    of the width's bit length until the value is below the width."""
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _weight_draw(spec: GenSpec):
     """A callable returning the game's next weight, ``randint(weight_lo,
     weight_hi) - shift`` on the weight substream: ``randint(a, b)`` is
     ``randrange(a, b + 1)``, which is ``a`` plus a draw below the width."""
-    lo, hi = spec.weight_lo, spec.weight_hi
-    return partial(_rng(spec, _PHASE_WEIGHTS).randrange, lo - spec.shift, hi + 1 - spec.shift)
+    rng = _rng(spec, _PHASE_WEIGHTS)
+    lo, width = spec.weight_lo - spec.shift, spec.weight_hi - spec.weight_lo + 1
+    return lambda: lo + _below(rng, width)
 
 
 def _draw_owners(spec: GenSpec, n: int) -> list[Owner]:
     rng = _rng(spec, _PHASE_OWNERS)
-    return [Owner.MAX if rng.randrange(2) == 0 else Owner.MIN for _ in range(n)]
+    return [Owner.MAX if _below(rng, 2) == 0 else Owner.MIN for _ in range(n)]
 
 
 def gen_sprand(spec: GenSpec) -> GameGraph:
@@ -107,9 +118,9 @@ def gen_sprand(spec: GenSpec) -> GameGraph:
     for i in range(n):
         edges.append((perm[i], perm[(i + 1) % n], draw()))
     for _ in range(m - n):
-        # choice(ids) draws as randrange(n) does
-        u = structure.choice(ids)
-        v = structure.choice(ids)
+        # choice(ids) would draw these ids
+        u = ids[_below(structure, n)]
+        v = ids[_below(structure, n)]
         edges.append((u, v, draw()))
     return GameGraph(n, _draw_owners(spec, n), edges)
 
@@ -272,25 +283,27 @@ FAMILIES = {
 def _check_spec(spec: GenSpec) -> None:
     """Raise InvalidSpec at the first field of ``spec`` out of range.  Every
     field is checked whatever the family, so a flag meant for another family
-    cannot pass silently; only the sizes that default to 0 (``n``, ``rows``,
-    ``cols``, ``layers``, ``width``) have a larger least value in the family
-    that reads them."""
+    cannot pass silently, and no message names a family; only the sizes
+    that default to 0 (``n``, ``rows``, ``cols``, ``layers``, ``width``)
+    have a larger least value in the family that reads them."""
     family = spec.family
+    n = 1 if family == "sprand" else 0
+    grid = 2 if family == "torus" else 0
+    layers, width = (2, 1) if family == "layered" else (0, 0)
     for bad, message in (
         (family not in FAMILIES, f"unknown family {family!r}; choose from {sorted(FAMILIES)}"),
-        (spec.n < (1 if family == "sprand" else 0), "sprand needs n >= 1"),
-        (not 1 <= spec.edge_factor < INF, "sprand needs a finite edge_factor >= 1"),  # NaN included
-        (min(spec.rows, spec.cols) < (2 if family == "torus" else 0), "torus needs rows >= 2 and cols >= 2"),
-        (spec.layers < (2 if family == "layered" else 0) or spec.width < (1 if family == "layered" else 0),
-         "layered needs layers >= 2 and width >= 1"),
+        (spec.n < n, f"n must be >= {n}"),
+        (not 1 <= spec.edge_factor < INF, "edge_factor must be finite and >= 1"),  # NaN included
+        (min(spec.rows, spec.cols) < grid, f"rows and cols must be >= {grid}"),
+        (spec.layers < layers or spec.width < width, f"layers must be >= {layers} and width >= {width}"),
         (spec.added_cycles < 0, "added_cycles must be >= 0"),
         (spec.cycle_len < 1, "cycle_len must be >= 1"),
         (spec.weight_lo > spec.weight_hi, f"empty weight range [{spec.weight_lo}, {spec.weight_hi}]"),
-        (spec.grid < 1 or spec.phases < 1, "collect needs grid >= 1 and phases >= 1"),
+        (spec.grid < 1 or spec.phases < 1, "grid and phases must be >= 1"),
         (not 0 <= spec.docks <= spec.grid * spec.grid, "docks out of range"),
-        (spec.sites < 1 or spec.max_request < 1, "supply needs sites >= 1 and max_request >= 1"),
+        (spec.sites < 1 or spec.max_request < 1, "sites and max_request must be >= 1"),
         (spec.refill <= 0, "refill must be positive"),
-        (spec.zones < 2, "taxi needs zones >= 2"),
+        (spec.zones < 2, "zones must be >= 2"),
     ):
         if bad:
             raise InvalidSpec(message)

@@ -29,7 +29,8 @@ the untouched part.  With no forest (a solve's first evaluation, and every
 one of :func:`evaluate_strategy`) one scan, :func:`_entry`, checks the
 entry conditions and reads ``B``; the roots are all finite vertices outside
 ``B``, and the untouched part is ``B`` at 0 and the known-losing vertices
-at -inf, whose values are final.
+at -inf, whose values are final.  An empty forest has no subtree below a
+root, so that pass walks none.
 
 Outside the searches nothing stores ``B``: it is read off ``d``.  A pass
 gives its targets 0 and every other vertex a negative value, since a vertex
@@ -89,15 +90,16 @@ from .core import (
 )
 from .errors import InvalidSpec, InvariantViolation, PreconditionViolated
 
-def _residual(game, pi, v, d):
+def _residual(out, pi, v, d):
     """``(best, u)``: the largest ``w + d(u)`` over the strategy-restricted
     out-edges ``(v, u)`` of ``v``, and the first ``u`` reaching it
-    (``(-inf, -1)`` when none does)."""
+    (``(-inf, -1)`` when none does).  ``out`` is the game's out-adjacency,
+    which the caller reads once."""
     if pi[v] is not None:  # Min's choice, at its weight
         u, w = pi[v]
         return w + d[u], u
     best, arg = NEG_INF, -1
-    for u, w in game.out_adjacency[v]:
+    for u, w in out[v]:
         t = w + d[u]
         if t > best:
             best, arg = t, u
@@ -166,15 +168,15 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
     """One evaluation pass: the longest admissible paths to this pass's
     targets, among the vertices whose potential is finite, given ``pot``
     and ``parent``, the values and forest of a previous pass whose targets
-    or strategy differed only at ``roots``, distinct vertices, or an empty
-    forest with every finite vertex outside ``B`` a root (see the module
-    docstring).  Values outside the region below the roots must be final.
-    Returns ``(d, changed)``, ``changed`` listing the vertices whose value
-    fell; ``parent`` becomes the new forest in place.  The search is
-    :func:`_search`, opened on the region alone and seeded from the
-    region's edges out of it.
+    or strategy differed only at ``roots``, distinct vertices, or None, an
+    empty forest with every finite vertex outside ``B`` a root (see the
+    module docstring).  Values outside the region below the roots must be
+    final.  Returns ``(d, parent, changed)``: the values, the new forest
+    (``parent`` itself, updated in place, unless it was None) and the
+    vertices whose value fell.  The search is :func:`_search`, opened on
+    the region alone and seeded from the region's edges out of it.
     """
-    pred = game.in_adjacency
+    pred, out = game.in_adjacency, game.out_adjacency
     n = game.vertex_count
     d = list(pot)
     # the region: the roots and every forest descendant of one
@@ -182,11 +184,14 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
     region = sorted(roots)  # the seeding below depends on the region's order
     for r in region:
         in_region[r] = 1
-    for y in region:  # grows while it is walked
-        for x, _, _ in pred[y]:
-            if parent[x] == y and not in_region[x]:
-                in_region[x] = 1
-                region.append(x)
+    if parent is None:
+        parent = [-1] * n  # an empty forest: no root has a descendant
+    else:
+        for y in region:  # grows while it is walked
+            for x, _, _ in pred[y]:
+                if parent[x] == y and not in_region[x]:
+                    in_region[x] = 1
+                    region.append(x)
     for x in region:
         d[x] = NEG_INF
         parent[x] = -1
@@ -195,14 +200,14 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
     # already holds its seed (a lower bound on its value), others -inf
     heap = []
     for x in region:
-        best, arg = _residual(game, pi, x, d)
+        best, arg = _residual(out, pi, x, d)
         if best >= -bound:
             d[x] = best
             parent[x] = arg
             heap.append((pot[x] - best) * n + x)
     heapify(heap)
     _search(game, pi, bound, pot, d, parent, heap, in_region, deadline)
-    return d, [x for x in region if d[x] != pot[x]]
+    return d, parent, [x for x in region if d[x] != pot[x]]
 
 
 def _entry(game, pi, d_prev):
@@ -218,11 +223,12 @@ def _entry(game, pi, d_prev):
     reads each vertex once, one at 0 by a single residual test, so with
     ``d_prev`` all 0, as in a solve's first evaluation, nothing is sorted.
     """
+    out = game.out_adjacency
     entry = set()
     tight = {}  # each vertex of D minus A -> the heads of its tight edges
     for v, dv in enumerate(d_prev):
         if dv == 0:
-            if _residual(game, pi, v, d_prev)[0] >= 0:
+            if _residual(out, pi, v, d_prev)[0] >= 0:
                 entry.add(v)
             continue
         if dv == NEG_INF:
@@ -230,7 +236,7 @@ def _entry(game, pi, d_prev):
         if dv > 0:
             raise PreconditionViolated("ii", f"d({v}) = {dv} > 0")
         tight[v] = heads = []
-        for u, w in game.out_adjacency[v] if pi[v] is None else [pi[v]]:
+        for u, w in out[v] if pi[v] is None else [pi[v]]:
             if dv < d_prev[u] + w:
                 raise PreconditionViolated("ii", f"d({v}) < d({u}) + w along edge ({v}, {u})")
             if dv == d_prev[u] + w:
@@ -253,11 +259,11 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
     the last shrinks ``B``, so more than ``max(1, n)`` passes mean a broken
     invariant.
     """
-    n, pred = game.vertex_count, game.in_adjacency
+    n, pred, out = game.vertex_count, game.in_adjacency, game.out_adjacency
     if prev is None:
         entry = _entry(game, pi, d_prev)
         # with no forest, every finite vertex outside B is a root
-        prev = [-1] * n, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry]
+        prev = None, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry]
     parent, roots = prev
     pot = d_prev
     passes = 0
@@ -266,7 +272,7 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
         passes += 1
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
-        d, changed = _repair(game, pi, bound, pot, parent, roots, deadline)
+        d, parent, changed = _repair(game, pi, bound, pot, parent, roots, deadline)
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative; a Min choice is her
@@ -274,7 +280,7 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
         drop = {
             x for y in changed for x, _, w in pred[y]
             if d[x] == 0 and d[y] + w < 0
-            and (pi[x][0] == y if pi[x] is not None else _residual(game, pi, x, d)[0] < 0)
+            and (pi[x][0] == y if pi[x] is not None else _residual(out, pi, x, d)[0] < 0)
         }
         if not drop:
             return d, parent
@@ -320,9 +326,10 @@ def _initial_pi(game, strategy):
     by :func:`validate_strategy` to choose an edge at every Min vertex and
     nowhere else: her lightest edge to the chosen target."""
     validate_strategy(game, strategy, Owner.MIN)
+    out = game.out_adjacency
     pi = [None] * game.vertex_count
     for v, u in strategy.choice.items():
-        pi[v] = min(e for e in game.out_adjacency[v] if e[0] == u)
+        pi[v] = min(e for e in out[v] if e[0] == u)
     return pi
 
 

@@ -54,6 +54,12 @@ EQUIVALENT = {
         "of those is not lighter than the one <= keeps only where both weigh the same",
     ("kasi.py", "if dv > 0:", ">", ">="):
         "a vertex at 0 took the branch above, so no value reaching this test is 0",
+    ("core.py", "if bound * n >= WEIGHT_ENVELOPE:", ">=", ">"):
+        "(|V|-1) * |V| * W is 2**63 only at |V| = 2 and W = 2**62, as |V| - 1 and |V| are coprime "
+        "powers of two there, and validate already rejects that game, whose |V| * W is 2**63",
+    ("core.py", "if time.perf_counter() > at:", ">", ">="):
+        "the two differ only at a clock reading exactly equal to the deadline, a single instant at which "
+        "the limit has as much passed as not; every limit still expires",
     ("checker.py", "nxt = (u, e2, j if du is None or du >= j else du)", ">=", ">"):
         "where du == j both branches give the same index",
     ("checker.py", "if label[v] + w > label[u]:", ">", ">="):

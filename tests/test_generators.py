@@ -8,6 +8,7 @@ from mpgsolve import (
     InvalidSpec,
     find_balancing_shift,
     generate,
+    generators,
     oracle_lb,
     oracle_lwub,
     render_game,
@@ -54,22 +55,22 @@ class TestSprand:
         assert small.edges == large.edges[: len(small.edges)]
 
     @pytest.mark.parametrize("spec, message", [
-        (GenSpec(family="sprand", n=10, edge_factor=0.5), "sprand needs a finite edge_factor >= 1"),
-        (GenSpec(family="sprand", n=0), "sprand needs n >= 1"),
+        (GenSpec(family="sprand", n=10, edge_factor=0.5), "edge_factor must be finite and >= 1"),
+        (GenSpec(family="sprand", n=0), "n must be >= 1"),
         (GenSpec(family="torus", rows=2, cols=2, added_cycles=1, cycle_len=0), "cycle_len must be >= 1"),
         (GenSpec(family="torus", rows=2, cols=2, added_cycles=-3, cycle_len=-5), "added_cycles must be >= 0"),
-        (GenSpec(family="torus", rows=2, cols=1), "torus needs rows >= 2 and cols >= 2"),
-        (GenSpec(family="layered", layers=1, width=3), "layered needs layers >= 2 and width >= 1"),
-        (GenSpec(family="collect", grid=2, phases=0), "collect needs grid >= 1 and phases >= 1"),
+        (GenSpec(family="torus", rows=2, cols=1), "rows and cols must be >= 2"),
+        (GenSpec(family="layered", layers=1, width=3), "layers must be >= 2 and width >= 1"),
+        (GenSpec(family="collect", grid=2, phases=0), "grid and phases must be >= 1"),
         (GenSpec(family="collect", grid=2, docks=5), "docks out of range"),
-        (GenSpec(family="supply", sites=2, max_request=0), "supply needs sites >= 1 and max_request >= 1"),
+        (GenSpec(family="supply", sites=2, max_request=0), "sites and max_request must be >= 1"),
         (GenSpec(family="supply", refill=0), "refill must be positive"),
-        (GenSpec(family="taxi", zones=1), "taxi needs zones >= 2"),
+        (GenSpec(family="taxi", zones=1), "zones must be >= 2"),
         # a field another family reads is checked too
         (GenSpec(family="sprand", n=3, added_cycles=-3, cycle_len=-5), "added_cycles must be >= 0"),
         (GenSpec(family="torus", rows=2, cols=2, cycle_len=0), "cycle_len must be >= 1"),
         (GenSpec(family="collect", weight_lo=5, weight_hi=1), r"empty weight range \[5, 1\]"),
-        (GenSpec(family="taxi", edge_factor=float("nan")), "sprand needs a finite edge_factor >= 1"),
+        (GenSpec(family="taxi", edge_factor=float("nan")), "edge_factor must be finite and >= 1"),
     ], ids=["edge_factor", "n", "cycle_len", "added_cycles", "torus", "layered", "collect", "docks", "supply",
             "refill", "taxi", "sprand-added_cycles", "torus-cycle_len", "collect-weights", "taxi-edge_factor"])
     def test_invalid_factor(self, spec, message):
@@ -190,6 +191,19 @@ class TestWeightStream:
     def test_empty_weight_range(self, spec):
         with pytest.raises(InvalidSpec, match=r"empty weight range \[-?\d+, -?\d+\]"):
             generate(spec)
+
+
+class TestBelow:
+    """``generators._below`` draws what ``randrange`` draws, from the same
+    stream, and leaves the stream where ``randrange`` leaves it."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 2**16, 2**16 + 1, 2**40 + 3])
+    def test_draw_by_draw_as_randrange(self, width):
+        ours, theirs = random.Random(width), random.Random(width)
+        for _ in range(500):
+            assert generators._below(ours, width) == theirs.randrange(width)
+        assert ours.getstate() == theirs.getstate()
+        assert [ours.random() for _ in range(20)] == [theirs.random() for _ in range(20)]
 
 
 class TestBalancingShift:
