@@ -15,11 +15,12 @@ generation, :func:`induced_subgame` and :func:`restrict_to_strategy`)
 yields one that passes :func:`validate`, the one place that decides whether
 a game is well formed and inside the 64-bit envelope; the solvers take that
 for granted.  :func:`reduction_bound` is the one place that derives the lb
-reduction bound and checks its envelope.  A graph holds its edges, and
-builds its adjacency rows from them on first read, so a game that no
-search reads never pays for rows.  Its edges, adjacency rows and outer
-adjacency sequences are tuples, so a write into them raises; its
-attributes cannot be rebound.  Graphs are safe to share between solver
+reduction bound and checks its envelope.  A graph holds its edges as three
+columns, tails, heads and weights, and builds its edge triples and
+adjacency rows from them on read, so a game that no search reads holds no
+tuple per edge.  Its columns, adjacency rows and outer adjacency sequences
+are tuples, so a write into them raises; its attributes cannot be
+rebound.  Graphs are safe to share between solver
 runs; strategies and vectors are independent values.
 """
 
@@ -29,7 +30,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -69,38 +69,56 @@ class GameGraph:
     """Finite weighted digraph with per-vertex ownership, valid by construction.
 
     Parallel edges and self-loops are permitted.  The constructor converts
-    no field: it stores the count, the owners and the edge triples as given
-    and runs :func:`validate`, so every graph that exists passes it and no
-    solver checks a graph again.  The adjacency rows are built from the
-    edges on first read and kept: ``out_adjacency[u]`` holds a ``(v, w)``
-    pair per edge ``(u, v, w)``; ``in_adjacency[v]`` holds the very triples
-    of ``edges`` whose head is ``v``.  Both keep input order.  A game that
-    no search reads, such as one generated, cut and rendered, holds one
-    triple per edge; once both row sets are read, an edge costs one triple
-    and one pair.  The edges, the rows and both outer sequences are tuples
-    and no attribute can be rebound, so a write raises instead of bypassing
-    the only check.  Parsing, the ``sprand``, ``torus`` and ``layered``
-    generators and :func:`induced_subgame` take every vertex id from one
-    ``list(range(n))``, so each id is one int object however many edges
-    name it; that saves memory only above 256 vertices, since CPython
-    already caches smaller ints.
+    no field: it splits the edge triples, in one pass and in input order,
+    into three columns, ``tails``, ``heads`` and ``weights``, stores them
+    with the count and the owners as tuples, and runs :func:`validate`, so
+    every graph that exists passes it and no solver checks a graph again.
+    ``edges`` is ``tuple(zip(tails, heads, weights))``, made afresh on each
+    read.  The adjacency rows are built from the columns on first read and
+    kept: ``out_adjacency[u]`` holds a ``(v, w)`` pair per edge ``(u, v,
+    w)``; ``in_adjacency[v]`` a ``(u, v, w)`` triple per edge whose head is
+    ``v``.  Both keep input order.  A game that no search reads, such as
+    one generated, cut and rendered, holds three column slots per edge and
+    no tuple of its own; once both row sets are read, an edge also costs
+    one pair and one triple.  The columns, the rows and both outer
+    sequences are tuples and no attribute can be rebound, so a write raises
+    instead of bypassing the only check.  Parsing, the ``sprand``,
+    ``torus`` and ``layered`` generators and :func:`induced_subgame` take
+    every vertex id from one ``list(range(n))``, so each id is one int
+    object however many edges name it; that saves memory only above 256
+    vertices, since CPython already caches smaller ints.
     """
 
-    __slots__ = ("vertex_count", "owners", "edges", "_out", "_in")
+    __slots__ = ("vertex_count", "owners", "tails", "heads", "weights", "_out", "_in")
 
     def __init__(self, vertex_count: int, owners: Sequence[Owner], edges: Iterable[tuple[int, int, int]]):
         for name, value in (("owners", owners), ("edges", edges)):
             if not isinstance(value, Iterable):
                 raise ValidationError(f"{name} {value!r} is not iterable")
-        edges = tuple(edges)  # read once: parsing passes a zip
-        try:
-            edges = tuple(map(tuple, edges))
-        except TypeError:
-            pass  # an edge that is not iterable, which validate names
-        values = (vertex_count, tuple(owners), edges, None, None)
+        owners = tuple(owners)
+        tails, heads, weights = [], [], []
+        for e in edges:
+            try:
+                u, v, w = e
+            except (TypeError, ValueError):
+                # the faults validate would find before this edge come first
+                _check_owners(vertex_count, owners)
+                _check_edges(vertex_count, zip(tails, heads, weights))
+                raise ValidationError(f"edge {e!r} is not a triple of ints") from None
+            del e  # a zip reuses its tuple for the next edge once no name holds it
+            tails.append(u)
+            heads.append(v)
+            weights.append(w)
+        values = (vertex_count, owners, tuple(tails), tuple(heads), tuple(weights), None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         validate(self)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``(u, v, w)`` triples in input order, made from the columns on
+        each read and not kept."""
+        return tuple(zip(self.tails, self.heads, self.weights))
 
     @property
     def out_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -108,7 +126,7 @@ class GameGraph:
         rows = self._out
         if rows is None:
             out = [[] for _ in range(self.vertex_count)]
-            for u, v, w in self.edges:
+            for u, v, w in zip(self.tails, self.heads, self.weights):
                 out[u].append((v, w))
             rows = tuple(map(tuple, out))
             object.__setattr__(self, "_out", rows)
@@ -116,11 +134,11 @@ class GameGraph:
 
     @property
     def in_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per vertex, the edge triples that enter it, built on first read."""
+        """Per vertex, a ``(u, v, w)`` triple per in-edge, built on first read."""
         rows = self._in
         if rows is None:
             inc = [[] for _ in range(self.vertex_count)]
-            for e in self.edges:
+            for e in zip(self.tails, self.heads, self.weights):
                 inc[e[1]].append(e)
             rows = tuple(map(tuple, inc))
             object.__setattr__(self, "_in", rows)
@@ -139,11 +157,12 @@ class GameGraph:
         return (
             self.vertex_count == other.vertex_count
             and self.owners == other.owners
-            and sorted(self.edges) == sorted(other.edges)
+            and sorted(zip(self.tails, self.heads, self.weights))
+            == sorted(zip(other.tails, other.heads, other.weights))
         )
 
     def __repr__(self) -> str:
-        return f"GameGraph(|V|={self.vertex_count}, |E|={len(self.edges)})"
+        return f"GameGraph(|V|={self.vertex_count}, |E|={len(self.tails)})"
 
     def vertices_of(self, player: Owner) -> list[int]:
         return [v for v in range(self.vertex_count) if self.owners[v] is player]
@@ -178,12 +197,25 @@ class MinWitness:
 
 
 @dataclass
+class SolveStats:
+    """The work of a KASI solve, one entry per improvement iteration: the
+    evaluation passes, the heap pops of their searches (stale entries
+    included) and the Min vertices the improvement switched, 0 in the last
+    iteration.  They depend on the game and the bound alone."""
+
+    passes: list[int]
+    heap_pops: list[int]
+    switches: list[int]
+
+
+@dataclass
 class SolveResult:
     lwub: list  # int or float('inf') per vertex
     max_strategy: PositionalStrategy
     min_witness: MinWitness
     final_d: list  # int or float('-inf') per vertex
     iterations: int  # strategy evaluations, one per improvement iteration
+    stats: SolveStats
 
 
 def validate(graph: GameGraph) -> None:
@@ -195,30 +227,39 @@ def validate(graph: GameGraph) -> None:
     |V| * W leaves the 64-bit envelope.
     """
     n = graph.vertex_count
-    if type(n) is not int:
-        raise ValidationError(f"vertex count {n!r} is not an int")
-    if n <= 0:
-        raise ValidationError("a game needs at least one vertex")
-    if len(graph.owners) != n:
-        raise ValidationError(f"{len(graph.owners)} owner entries for {n} vertices")
-    if not {*map(type, graph.owners)} <= {Owner}:
-        v, o = next((v, o) for v, o in enumerate(graph.owners) if type(o) is not Owner)
-        raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
-    has_out = bytearray(n)
-    for e in graph.edges:
-        try:
-            u, v, w = e
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge {e!r} is not a triple of ints") from None
-        if not type(u) is type(v) is type(w) is int:
-            raise ValidationError(f"edge {e!r} is not a triple of ints")
-        if not (0 <= u < n and 0 <= v < n):
-            raise DanglingEdge(e)
-        has_out[u] = 1
+    _check_owners(n, graph.owners)
+    has_out = _check_edges(n, zip(graph.tails, graph.heads, graph.weights))
     if 0 in has_out:
         raise ZeroOutDegree(has_out.index(0))
     if n * max_abs_weight(graph) >= WEIGHT_ENVELOPE:
         raise OverflowRisk("|V| * W exceeds the 64-bit accumulation envelope")
+
+
+def _check_owners(n, owners) -> None:
+    """The checks of :func:`validate` that precede the edges."""
+    if type(n) is not int:
+        raise ValidationError(f"vertex count {n!r} is not an int")
+    if n <= 0:
+        raise ValidationError("a game needs at least one vertex")
+    if len(owners) != n:
+        raise ValidationError(f"{len(owners)} owner entries for {n} vertices")
+    if not {*map(type, owners)} <= {Owner}:
+        v, o = next((v, o) for v, o in enumerate(owners) if type(o) is not Owner)
+        raise ValidationError(f"vertex {v} has owner {o!r}, expected Owner.MAX or Owner.MIN")
+
+
+def _check_edges(n: int, edges) -> bytearray:
+    """Raise on the first of the ``(u, v, w)`` triples ``edges`` that is not
+    one of ints inside the vertex range; returns a byte per vertex, 1 where
+    an edge leaves it."""
+    has_out = bytearray(n)
+    for u, v, w in edges:
+        if not (type(u) is type(v) is type(w) is int and 0 <= u < n and 0 <= v < n):
+            if not type(u) is type(v) is type(w) is int:
+                raise ValidationError(f"edge {(u, v, w)!r} is not a triple of ints")
+            raise DanglingEdge((u, v, w))
+        has_out[u] = 1
+    return has_out
 
 
 def check_bound(value, name: str = "bound") -> int:
@@ -287,7 +328,7 @@ def restrict_to_strategy(graph: GameGraph, strategy: PositionalStrategy) -> Game
     validate_strategy(graph, strategy, player)
     kept = [
         (u, v, w)
-        for (u, v, w) in graph.edges
+        for u, v, w in zip(graph.tails, graph.heads, graph.weights)
         if graph.owners[u] is not player or strategy.choice[u] == v
     ]
     return GameGraph(graph.vertex_count, graph.owners, kept)
@@ -316,7 +357,7 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
     index = dict(zip(kept, ids))
     edges = [
         (index[u], index[v], w)
-        for (u, v, w) in graph.edges
+        for u, v, w in zip(graph.tails, graph.heads, graph.weights)
         if u in index and v in index
     ]
     has_out = [False] * len(kept)
@@ -331,4 +372,4 @@ def induced_subgame(graph: GameGraph, keep: Iterable[int]) -> GameGraph:
 
 def max_abs_weight(graph: GameGraph) -> int:
     """Maximum absolute edge weight W; 0 when every weight is zero."""
-    return max(map(abs, map(itemgetter(2), graph.edges)), default=0)
+    return max(map(abs, graph.weights), default=0)

@@ -59,7 +59,9 @@ def _records(text: str):
     """``(n, owners, tails, heads, weights)`` of a game text split into lines
     at LF alone, or None unless every line is a record and they make a
     well-formed game.  Tails and heads are iterators over one shared int
-    object per vertex id."""
+    object per vertex id; :func:`parse_game` zips the three for the
+    constructor, which splits them back into the game's columns, so the
+    zip's one reused tuple is the only triple a parse makes."""
     n = m = None
     ids, owners, tails, heads, weights = [], [], [], [], []
     pos = 0
@@ -159,12 +161,12 @@ def _int(token: str, lineno: int) -> int:
 
 
 def render_game(graph: GameGraph) -> str:
-    """The game text, edges in ``sorted(graph.edges)`` order: by source,
-    then target, then weight.  It reads no adjacency row."""
-    lines = [f"p mpg {graph.vertex_count} {len(graph.edges)}"]
+    """The game text, edges sorted by source, then target, then weight.  It
+    reads the edge columns and no adjacency row."""
+    lines = [f"p mpg {graph.vertex_count} {len(graph.tails)}"]
     max_ = Owner.MAX
     lines += [f"o {v} {'MAX' if o is max_ else 'MIN'}" for v, o in enumerate(graph.owners)]
-    lines += [f"e {u} {v} {w}" for u, v, w in sorted(graph.edges)]
+    lines += [f"e {u} {v} {w}" for u, v, w in sorted(zip(graph.tails, graph.heads, graph.weights))]
     return "\n".join(lines) + "\n"
 
 

@@ -82,6 +82,7 @@ from .core import (
     Owner,
     PositionalStrategy,
     SolveResult,
+    SolveStats,
     check_bound,
     deadline_after,
     max_abs_weight,
@@ -128,7 +129,7 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
     only produce a smaller, thus still inadmissible, candidate at ``x``.
     Greedy extraction therefore computes exactly the longest path whose
     every suffix weighs at least ``-bound``, and leaves ``d(x) = -inf``
-    when no such path exists.
+    when no such path exists.  Returns the number of heap pops.
     """
     n = game.vertex_count
     pred = game.in_adjacency
@@ -162,6 +163,7 @@ def _search(game, pi, bound, pot, d, parent, heap, opened, deadline):
                 d[x] = cand
                 parent[x] = y
                 heappush(heap, kx * n + x)
+    return pops
 
 
 def _repair(game, pi, bound, pot, parent, roots, deadline):
@@ -171,10 +173,11 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
     or strategy differed only at ``roots``, distinct vertices, or None, an
     empty forest with every finite vertex outside ``B`` a root (see the
     module docstring).  Values outside the region below the roots must be
-    final.  Returns ``(d, parent, changed)``: the values, the new forest
-    (``parent`` itself, updated in place, unless it was None) and the
-    vertices whose value fell.  The search is :func:`_search`, opened on
-    the region alone and seeded from the region's edges out of it.
+    final.  Returns ``(d, parent, changed, pops)``: the values, the new
+    forest (``parent`` itself, updated in place, unless it was None), the
+    vertices whose value fell and the search's heap pops.  The search is
+    :func:`_search`, opened on the region alone and seeded from the
+    region's edges out of it.
     """
     pred, out = game.in_adjacency, game.out_adjacency
     n = game.vertex_count
@@ -206,8 +209,8 @@ def _repair(game, pi, bound, pot, parent, roots, deadline):
             parent[x] = arg
             heap.append((pot[x] - best) * n + x)
     heapify(heap)
-    _search(game, pi, bound, pot, d, parent, heap, in_region, deadline)
-    return d, parent, [x for x in region if d[x] != pot[x]]
+    pops = _search(game, pi, bound, pot, d, parent, heap, in_region, deadline)
+    return d, parent, [x for x in region if d[x] != pot[x]], pops
 
 
 def _entry(game, pi, d_prev):
@@ -249,8 +252,9 @@ def _entry(game, pi, d_prev):
 
 
 def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None)):
-    """One strategy evaluation: returns ``(d, parents)``, the values and
-    forest of the last pass.  ``B`` ends as the vertices with ``d = 0``.
+    """One strategy evaluation: returns ``(d, parents, passes, pops)``, the
+    values and forest of the last pass, the number of passes and their heap
+    pops.  ``B`` ends as the vertices with ``d = 0``.
 
     Every pass is a :func:`_repair`.  ``prev`` is None, or the parents
     that came with ``d_prev`` plus the Min vertices switched since; with
@@ -266,13 +270,14 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
         prev = None, [v for v in range(n) if d_prev[v] != NEG_INF and v not in entry]
     parent, roots = prev
     pot = d_prev
-    passes = 0
+    passes = pops = 0
     while True:
         deadline()
         passes += 1
         if passes > max(1, n):
             raise InvariantViolation(f"evaluation needs more than {passes - 1} passes on {n} vertices")
-        d, parent, changed = _repair(game, pi, bound, pot, parent, roots, deadline)
+        d, parent, changed, k = _repair(game, pi, bound, pot, parent, roots, deadline)
+        pops += k
         # the leave test (see the module docstring): a vertex at 0 whose
         # restricted edge into a changed value turned negative leaves B when
         # no restricted edge of it stays non-negative; a Min choice is her
@@ -283,7 +288,7 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
             and (pi[x][0] == y if pi[x] is not None else _residual(out, pi, x, d)[0] < 0)
         }
         if not drop:
-            return d, parent
+            return d, parent, passes, pops
         pot = d
         roots = drop
 
@@ -374,6 +379,7 @@ def _solve(game, bound, time_limit):
     strategies: list[PositionalStrategy] = []
     death: list[int | None] = [None] * n
     prev = None
+    stats = SolveStats(passes=[], heap_pops=[], switches=[])
     # d only falls, each iteration after the first lowers some d(v), and
     # d(v) is one of 0, -1, ..., -bound, -inf
     max_main = n * (bound + 1) + 1
@@ -381,7 +387,7 @@ def _solve(game, bound, time_limit):
     for iteration in range(max_main):
         if not one_block:
             strategies.append(_snapshot(pi))
-        d, parents = _evaluate(game, pi, bound, d_prev, prev, deadline)
+        d, parents, passes, pops = _evaluate(game, pi, bound, d_prev, prev, deadline)
         if iteration > 0 and d == d_prev:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
@@ -390,6 +396,9 @@ def _solve(game, bound, time_limit):
                 if d[v] == NEG_INF:
                     death[v] = iteration
         switched = _improve(game, pi, d)
+        stats.passes.append(passes)
+        stats.heap_pops.append(pops)
+        stats.switches.append(len(switched))
         if not switched:
             break
         prev = (parents, switched)
@@ -406,6 +415,7 @@ def _solve(game, bound, time_limit):
         min_witness=MinWitness(strategies=strategies, death_index=death),
         final_d=d,
         iterations=iteration + 1,
+        stats=stats,
     )
 
 

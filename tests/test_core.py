@@ -106,6 +106,22 @@ class TestValidate:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("owners, edges, error, message", [
+        ((Owner.MAX,), [(0, 1, 0), (0, 1)], ValidationError, "1 owner entries for 2 vertices"),
+        ((Owner.MAX, Owner.MAX), [(0, 5, 0), (0, 1)], DanglingEdge,
+         "edge (0, 5, 0) has an endpoint outside the vertex range"),
+        ((Owner.MAX, Owner.MAX), [(0, 1.5, 0), 7], ValidationError, "edge (0, 1.5, 0) is not a triple of ints"),
+        ((Owner.MAX, Owner.MAX), [(0, 1, 0), (0, 1), (2, 0, 0)], ValidationError,
+         "edge (0, 1) is not a triple of ints"),
+    ], ids=["owners-first", "dangling-first", "float-first", "short-first"])
+    def test_first_fault_in_input_order(self, owners, edges, error, message):
+        # an edge that is not a triple is found while the edges are split
+        # into columns, yet every fault before it is still named first
+        with pytest.raises(ValidationError) as err:
+            GameGraph(2, owners, iter(edges))
+        assert type(err.value) is error
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("args, message", [
         ((1, [Owner.MAX], 5), "edges 5 is not iterable"),
         ((1, [Owner.MAX], None), "edges None is not iterable"),
@@ -240,8 +256,9 @@ class TestInducedSubgame:
 
 
 class TestAdjacencyLayout:
-    """``in_adjacency`` holds the game's own edge triples, one per edge in
-    input order, and the solver reads it as its predecessor lists."""
+    """``in_adjacency`` holds a triple equal to each of the game's edges, one
+    per edge in input order, and the solver reads it as its predecessor
+    lists."""
 
     @staticmethod
     def games():
@@ -252,18 +269,13 @@ class TestAdjacencyLayout:
         torus = generate(GenSpec(family="torus", rows=6, cols=7, seed=1, weight_lo=-5, weight_hi=5))
         return [parse_game(render_game(torus)), parallel, induced_subgame(parallel, range(0, 300, 3))]
 
-    @staticmethod
-    def assert_same_objects(got, want):
-        assert len(got) == len(want)
-        assert all(a is b for a, b in zip(got, want))
-
     def test_in_adjacency_lists_the_edge_triples(self):
         for g in self.games():
             heads = [[] for _ in range(g.vertex_count)]
             for e in g.edges:
                 heads[e[1]].append(e)
             for v in range(g.vertex_count):
-                self.assert_same_objects(g.in_adjacency[v], heads[v])
+                assert list(g.in_adjacency[v]) == heads[v]
 
     def test_solver_reads_the_game_as_built(self):
         # Min traverses her lightest parallel edge, so every answer on the
@@ -320,18 +332,26 @@ class TestImmutableLayout:
                     rows[1][0] = rows[1][0]
                 with pytest.raises(AttributeError):
                     rows[2].append(rows[2][0])
+            for column in (g.tails, g.heads, g.weights):
+                assert type(column) is tuple
+                with pytest.raises(TypeError):
+                    column[0] = 5
             # nor can an attribute be rebound or deleted, which would
             # bypass validate as a write into a row would: the stored
-            # fields, the row properties by name, and the slots they fill
-            names = ("vertex_count", "owners", "edges", "out_adjacency", "in_adjacency", *GameGraph.__slots__)
-            values = [1, (), ((0, 5, 1),), ((), ()), ((), ())] * 2
-            before = [getattr(g, name) for name in names]
-            for name, value in zip(names, values, strict=True):
+            # fields and the slots the rows fill, and the edge and row
+            # properties by name
+            values = {"vertex_count": 1, "owners": (), "tails": (0,), "heads": (5,), "weights": (1,),
+                      "edges": ((0, 5, 1),), "out_adjacency": ((), ()), "in_adjacency": ((), ()),
+                      "_out": ((), ()), "_in": ((), ())}
+            assert set(GameGraph.__slots__) < values.keys()
+            before = {name: getattr(g, name) for name in values}
+            for name, value in values.items():
                 with pytest.raises(AttributeError):
                     setattr(g, name, value)
                 with pytest.raises(AttributeError):
                     delattr(g, name)
-            assert all(getattr(g, name) is was for name, was in zip(names, before))
+            assert all(getattr(g, name) is was for name, was in before.items() if name != "edges")
+            assert g.edges == before["edges"]
 
     def test_each_vertex_id_is_one_object(self):
         for g in self.games():
@@ -346,14 +366,15 @@ class TestImmutableLayout:
 
 
 class TestRowsOnFirstRead:
-    """A game holds its edges, and each row set is built on first read from
-    them, as the constructor built both before, and then kept."""
+    """A game holds its edges as three columns, and each row set is built on
+    first read from them, as the constructor built both before, and then
+    kept."""
 
     @staticmethod
-    def eager_rows(g):
-        out = [[] for _ in range(g.vertex_count)]
-        inc = [[] for _ in range(g.vertex_count)]
-        for e in g.edges:
+    def eager_rows(n, edges):
+        out = [[] for _ in range(n)]
+        inc = [[] for _ in range(n)]
+        for e in edges:
             u, v, w = e
             out[u].append((v, w))
             inc[v].append(e)
@@ -366,7 +387,7 @@ class TestRowsOnFirstRead:
             render_game(g)
             max_abs_weight(g)
             assert g._out is None and g._in is None
-            out, inc = self.eager_rows(g)
+            out, inc = self.eager_rows(g.vertex_count, g.edges)
             if k % 2:  # either row set may be read first
                 assert g.in_adjacency == inc
             assert g.out_adjacency == out
@@ -374,9 +395,32 @@ class TestRowsOnFirstRead:
             assert g.out_adjacency is g.out_adjacency is g._out
             assert g.in_adjacency is g.in_adjacency is g._in
 
+    def test_edges_and_rows_keep_input_order(self):
+        # the triples as given, parallel edges and self-loops included, come
+        # back from edges and the rows in the order they went in, whether
+        # built directly or parsed from a text that lists them unsorted
+        rng = random.Random(3)
+        n = 300
+        edges = [(u, (u + 1) % n, rng.randint(-5, 5)) for u in range(n)]
+        edges += [(rng.randrange(n), rng.randrange(n), rng.randint(-5, 5)) for _ in range(900)]
+        edges += [edges[7], (12, 12, 0), (12, 12, -3)]
+        owners = [rng.choice([Owner.MAX, Owner.MIN]) for _ in range(n)]
+        text = "".join([f"p mpg {n} {len(edges)}\n",
+                        *(f"o {v} {o.value}\n" for v, o in enumerate(owners)),
+                        *(f"e {u} {v} {w}\n" for u, v, w in edges)])
+        for g in (GameGraph(n, owners, edges), parse_game(text)):
+            assert (g.tails, g.heads, g.weights) == tuple(zip(*edges))
+            assert g.edges == tuple(edges)
+            out, inc = self.eager_rows(n, edges)
+            assert g.in_adjacency == inc
+            assert g.out_adjacency == out
+            assert render_game(g) == render_game(GameGraph(n, owners, sorted(edges)))
+
     def test_a_game_no_search_reads_holds_its_edges_alone(self):
-        # one triple per edge, its tuple slot and a share of the vertex ids
-        # and owners: about 92 B, against 212 B with both row sets built
+        # three column slots per edge and a share of the vertex ids and
+        # owners: about 44 B, plus the tuples CPython keeps for reuse
+        # after the generator's triples are freed, against 91 B when a game
+        # held one triple per edge
         spec = GenSpec(family="sprand", n=5000, edge_factor=2.0, seed=0, weight_lo=1, weight_hi=10, shift=6)
         tracemalloc.start()
         try:
@@ -384,8 +428,9 @@ class TestRowsOnFirstRead:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert g._out is None and g._in is None
         assert {w for _, _, w in g.edges} == set(range(-5, 5))
-        assert held / len(g.edges) <= 110
+        assert held / len(g.edges) <= 60
 
 
 class TestWeights:

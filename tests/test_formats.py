@@ -88,6 +88,9 @@ class TestGameGrammar:
         ("p mpg 2 2\no 0 MAX\no 1 max\ne 0 1 1\ne 1 0 1\n", 3, "unknown owner 'max'"),
         ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 1 1.5\ne 1 0 1\n", 4, "not an integer: '1.5'"),
         ("p mpg 2 2\no 0 MAX\no 1 MIN\ne -1 1 1\ne 1 0 1\n", 4, "edge (-1, 1) out of range"),
+        ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 2 1\ne 1 0 1\n", 4, "edge (0, 2) out of range"),
+        ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 1 1\ne 2 0 1\n", 5, "edge (2, 0) out of range"),
+        ("p mpg 1 0\no 0 MAX\ne 0 0 0\n", 0, "header announced 0 edges, found 1"),
         ("p mpg 2 2\no 0 MAX\no 1 MIN\ne 0 1 1\ne 1 0 1\ne 1 1 1\n", 0, "header announced 2 edges, found 3"),
         ("p mpg 2 2\r\no 0 MAX\r\no 1 MIN\r\ne 0 1 1\r\nx\r\n", 5, "unknown record 'x'"),
         ("p mpg 2 2\n\to 0 MAX\no 1 MIN\ne 0 1 1\n  oo 1 0 1\n", 5, "unknown record 'oo'"),
@@ -110,6 +113,8 @@ class TestGameGrammar:
     def test_zero_out_degree_rejected(self):
         with pytest.raises(ZeroOutDegree):
             parse_game("p mpg 2 1\no 0 MAX\no 1 MIN\ne 0 1 5\n")
+        with pytest.raises(ZeroOutDegree):  # a well-formed text with no edge
+            parse_game("p mpg 1 0\no 0 MAX\n")
 
     def test_weight_envelope_guard(self):
         big = 2**62

@@ -781,6 +781,43 @@ class TestIterations:
         assert solve_lb(generate(spec)).iterations == want
 
 
+class TestSolveStats:
+    """The solve's own per-iteration counts: evaluation passes, heap pops
+    and Min switches, on the criterion-11 seed-0 game at the lb bound and
+    at bound 20."""
+
+    C11 = GenSpec(family="sprand", n=20000, edge_factor=2.0, seed=0, weight_lo=1, weight_hi=10, shift=6)
+
+    def test_criterion_11_counts(self):
+        g = generate(self.C11)
+        lb = solve_lb(g).stats
+        assert lb.passes == [11, 10, 14, 9, 7, 4, 3, 1, 1, 1]
+        assert lb.heap_pops == [18708, 21835, 19064, 11583, 2778, 797, 454, 17, 0, 0]
+        assert sum(lb.heap_pops) == 75236
+        assert lb.switches == [3348, 1989, 1461, 927, 167, 48, 8, 1, 1, 0]
+        b20 = solve_lwub(g, 20).stats
+        assert b20.passes == [11, 10, 14, 9, 7, 4, 3, 1]
+        assert b20.heap_pops == [18436, 17118, 7424, 3402, 933, 206, 129, 20]
+        assert sum(b20.heap_pops) == 47668
+        assert b20.switches == [3347, 1860, 792, 234, 58, 14, 6, 0]
+
+    @pytest.mark.parametrize("spec", [_C11_SHAPE, _TORUS, _PARALLEL])
+    def test_counts_agree_with_the_solve(self, monkeypatch, spec):
+        # one entry per iteration; the pops are every heappop of the solve,
+        # and the switches those of the witness's consecutive blocks
+        g = generate(spec)
+        pops = TestHeapPops.pops(monkeypatch, solve_lb, g)
+        res = solve_lwub(g, 10)
+        stats = res.stats
+        assert len(stats.passes) == len(stats.heap_pops) == len(stats.switches) == res.iterations
+        assert min(stats.passes) >= 1 and stats.switches[-1] == 0
+        blocks = res.min_witness.strategies
+        assert stats.switches[:-1] == [
+            sum(a.choice[v] != b.choice[v] for v in a.choice) for a, b in zip(blocks, blocks[1:])
+        ]
+        assert sum(solve_lb(g).stats.heap_pops) == pops
+
+
 class TestStrategyChecks:
     """Every entry point that takes a Min strategy checks it by calling
     ``core.validate_strategy``, so a bad one fails with that function's
