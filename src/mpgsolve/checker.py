@@ -37,18 +37,27 @@ class ViolationTrace:
 
 def _check_witness(game: GameGraph, witness: MinWitness) -> None:
     """Raise InvalidSpec unless the death index has one entry per vertex,
-    each None or the index of a block, and InvalidStrategy unless every
-    block is a Min strategy of the game."""
+    each None or the index of a block, and InvalidStrategy unless the last
+    strategy is a Min strategy of the game and every switch one of its
+    vertices' edges, so that every block is a Min strategy too."""
     n = game.vertex_count
     death = witness.death_index
     if len(death) != n:
         raise InvalidSpec(f"death_index has {len(death)} entries for {n} vertices")
-    k = len(witness.strategies)
+    k = len(witness.switches) + 1
     for v, j in enumerate(death):
         if j is not None and (type(j) is not int or not 0 <= j < k):
             raise InvalidSpec(f"death_index[{v}] = {j!r} names none of the {k} strategies")
-    for strategy in witness.strategies:
-        validate_strategy(game, strategy, Owner.MIN)
+    validate_strategy(game, witness.last, Owner.MIN)
+    last, out = witness.last.choice, game.out_adjacency
+    for block in witness.switches:
+        for v, u in block.items():
+            if not type(v) is type(u) is int:
+                raise InvalidStrategy(f"choice {v!r} -> {u!r} is not a pair of ints")
+            if v not in last:
+                raise InvalidStrategy("witness strategies cover different vertices")
+            if all(t != u for t, _ in out[v]):
+                raise InvalidStrategy(f"choice {v} -> {u} is not an edge")
 
 
 def _explore(game: GameGraph, bound: int, witness: MinWitness, starts):
@@ -57,7 +66,8 @@ def _explore(game: GameGraph, bound: int, witness: MinWitness, starts):
 
     Min plays the block indexed by the death index of the current losing
     region, switching only to lower indices, along her lightest parallel
-    edge to its target; Max branches over all edges.  Energy is clamped to
+    edge to its target; Max branches over all edges.  The blocks are
+    expanded to full strategies here, once.  Energy is clamped to
     ``bound`` from above, and with that clamp a traversed segment of weight
     below ``-bound`` is exactly a drop of the clamped energy below zero, so
     a single absorbing "violated" outcome covers both losing conditions.
@@ -192,8 +202,6 @@ def _certify(game, bound, result):
         raise InvariantViolation(f"{len(x)} values for {n} vertices")
     validate_strategy(game, result.max_strategy, Owner.MAX)
     _check_witness(game, witness)
-    if not witness.strategies:
-        raise InvariantViolation("Min's witness holds no strategy")
     death = witness.death_index
     for v, xv in enumerate(x):
         if xv != INF and not (type(xv) is int and 0 <= xv <= bound):
@@ -201,7 +209,7 @@ def _certify(game, bound, result):
         if (death[v] is None) != (xv != INF):
             raise InvariantViolation(f"death_index[{v}] = {death[v]!r} disagrees with x({v}) = {xv}")
 
-    chosen = {**result.max_strategy.choice, **witness.strategies[-1].choice}
+    chosen = {**result.max_strategy.choice, **witness.last.choice}
     tight = {}  # each vertex with 0 < x < inf -> the heads of its tight restricted edges
     for v, xv in enumerate(x):
         if xv == INF:
@@ -226,8 +234,8 @@ def _certify(game, bound, result):
         raise InvariantViolation(f"a zero-weight cycle through vertex {exc.args[1][0]} keeps x finite") from None
 
     losing = [v for v in range(n) if x[v] == INF]
-    if len(witness.strategies) == 1 and bound >= (n - 1) * max_abs_weight(game):
-        _check_losing_set(game, x, witness.strategies[0].choice, losing)
+    if not witness.switches and bound >= (n - 1) * max_abs_weight(game):
+        _check_losing_set(game, x, witness.last.choice, losing)
     else:
         _explore(game, bound, witness, [(v, bound, death[v]) for v in losing])
 

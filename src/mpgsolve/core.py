@@ -181,30 +181,51 @@ class PositionalStrategy:
 
 @dataclass
 class MinWitness:
-    """Min's optimal play: the strategy sequence plus per-vertex death index.
+    """Min's optimal play: her strategy sequence plus per-vertex death index.
+
+    ``last`` is her last strategy, in full.  ``switches[j]`` holds, for
+    each earlier strategy ``j``, her choice in ``j`` at every vertex where
+    it differs from strategy ``j + 1``: the vertices the solve switched in
+    iteration ``j``, with their targets before the switch.  Strategy ``j``
+    is ``switches[j]`` laid over strategy ``j + 1``, and
+    ``formats.render_witness`` writes these same blocks.  ``strategies``
+    gives every strategy in full, made on each read and not kept.
 
     ``death_index[v]`` names the block Min starts from at ``v``: the index
     of the evaluation that drove ``d(v)`` to minus infinity, or None while
     the vertex stays winnable for Max.  An lb witness, or one at a bound of
-    at least ``(|V|-1) * W``, is one block, and the index is 0 at every
-    losing vertex.  Every strategy is held in full, on the same vertices;
-    ``formats.render_witness`` writes the last in full and each earlier one
-    as its differences from the next.
+    at least ``(|V|-1) * W``, is one block, ``switches == []``, and the
+    index is 0 at every losing vertex.
     """
 
-    strategies: list[PositionalStrategy]
+    last: PositionalStrategy
+    switches: list[dict[int, int]]
     death_index: list[int | None]
+
+    @property
+    def strategies(self) -> list[PositionalStrategy]:
+        """Every strategy of the sequence in full, the last one ``last``."""
+        full = [self.last]
+        choice = self.last.choice
+        for block in reversed(self.switches):
+            choice = {**choice, **block}
+            full.append(PositionalStrategy(Owner.MIN, choice))
+        return full[::-1]
 
 
 @dataclass
 class SolveStats:
     """The work of a KASI solve, one entry per improvement iteration: the
     evaluation passes, the heap pops of their searches (stale entries
-    included) and the Min vertices the improvement switched, 0 in the last
-    iteration.  They depend on the game and the bound alone."""
+    included), the values that fell in the evaluation (``d != d_prev``),
+    the size of ``B`` after it (``d == 0``) and the Min vertices the
+    improvement switched, 0 in the last iteration.  They depend on the
+    game and the bound alone."""
 
     passes: list[int]
     heap_pops: list[int]
+    fallen: list[int]
+    b_size: list[int]
     switches: list[int]
 
 

@@ -29,8 +29,11 @@ INF_TOKEN = "inf"
 #: start with a tag.
 _PLAIN = b" \t\n0123456789-mpgoeMAXIN"
 
-#: Consecutive lines that start with the same tag.
-_BLOCK = re.compile(r"(?:p[^\n]*\n?)+|(?:o[^\n]*\n?)+|(?:e[^\n]*\n?)+")
+#: The most lines of one tag that the tokeniser splits at once.
+CHUNK_LINES = 4096
+
+#: Up to CHUNK_LINES consecutive lines that start with the same tag.
+_CHUNK = re.compile("|".join(rf"(?:{tag}[^\n]*\n?){{1,{CHUNK_LINES}}}" for tag in "poe"))
 
 _OWNER = {o.value: o for o in Owner}
 
@@ -39,9 +42,11 @@ def parse_game(text: str) -> GameGraph:
     """Parse the game grammar; raises ParseError, a ValidationError or
     OverflowRisk.
 
-    Every well-formed file takes one path: each block of consecutive records
-    with the same tag is tokenised by one ``split()`` and converted a column
-    at a time.  A file that path rejects goes through the line loop of
+    Every well-formed file takes one path, :func:`_records`: each run of
+    at most ``CHUNK_LINES`` consecutive records with the same tag is
+    tokenised by one ``split()`` and converted a column at a time, so a
+    parse holds one chunk's tokens at a time beside the game's own
+    columns.  A file that path rejects goes through the line loop of
     :func:`_raise_line_error`, which only words the error.
     """
     plain = text.isascii() and not text.encode().translate(None, _PLAIN)
@@ -58,45 +63,63 @@ def parse_game(text: str) -> GameGraph:
 def _records(text: str):
     """``(n, owners, tails, heads, weights)`` of a game text split into lines
     at LF alone, or None unless every line is a record and they make a
-    well-formed game.  Tails and heads are iterators over one shared int
-    object per vertex id; :func:`parse_game` zips the three for the
-    constructor, which splits them back into the game's columns, so the
-    zip's one reused tuple is the only triple a parse makes."""
-    n = m = None
-    ids, owners, tails, heads, weights = [], [], [], [], []
+    well-formed game.
+
+    The text is read a chunk at a time (``_CHUNK``).  The header's counts
+    are checked against the text's line count before anything is built
+    for them, so a huge header on a short text allocates nothing; then
+    the owners and the three edge columns are lists of ``n`` and ``m``
+    slots, filled a chunk at a time.  Each chunk's ids are converted,
+    checked against ``n`` and mapped onto one shared int object per vertex
+    id before the next chunk is tokenised.  :func:`parse_game` zips the
+    three columns for the constructor, which splits them back into the
+    game's columns, so the zip's one reused tuple is the only triple a
+    parse makes."""
+    n = None
+    owned = 0
+    edges = 0
     pos = 0
     try:
         while pos < len(text):
-            block = _BLOCK.match(text, pos)
-            if block is None:
+            chunk = _CHUNK.match(text, pos)
+            if chunk is None:
                 return None
-            tag, tokens, pos = text[pos], block.group().split(), block.end()
+            tag, tokens, pos = text[pos], chunk.group().split(), chunk.end()
             k = len(tokens)
             if tag == "p" and n is None and k == 4 and tokens[:2] == ["p", "mpg"]:
                 n, m = int(tokens[2]), int(tokens[3])
+                # Every line starts with a tag, and no other field can, so with
+                # as many lines as records each line holds exactly one record.
+                lines = text.count("\n") + (not text.endswith("\n"))
+                if n <= 0 or m < 0 or lines != 1 + n + m:
+                    return None
+                shared = list(range(n)).__getitem__  # one int object per vertex id
+                by_id = [None] * n
+                tails, heads, weights = [None] * m, [None] * m, [None] * m
             elif tag == "o" and n is not None and tokens[::3].count("o") * 3 == k:
-                ids += map(int, tokens[1::3])
-                owners += map(_OWNER.__getitem__, tokens[2::3])
+                ids = list(map(int, tokens[1::3]))
+                if not 0 <= min(ids) <= max(ids) < n:
+                    return None
+                owned += len(ids)
+                for v, o in zip(ids, map(_OWNER.__getitem__, tokens[2::3])):
+                    by_id[v] = o
             elif tag == "e" and n is not None and tokens[::4].count("e") * 4 == k:
-                tails += map(int, tokens[1::4])
-                heads += map(int, tokens[2::4])
-                weights += map(int, tokens[3::4])
+                us, vs = list(map(int, tokens[1::4])), list(map(int, tokens[2::4]))
+                if not (0 <= min(us) <= max(us) < n and 0 <= min(vs) <= max(vs) < n):
+                    return None
+                at, edges = edges, edges + len(us)
+                if edges > m:
+                    return None
+                tails[at:edges] = map(shared, us)
+                heads[at:edges] = map(shared, vs)
+                weights[at:edges] = map(int, tokens[3::4])
             else:
                 return None
-        # Every line starts with a tag, and no other field can, so with as
-        # many lines as records each line holds exactly one record.
-        lines = text.count("\n") + (not text.endswith("\n"))
-        by_id = dict(zip(ids, owners))
-        if n is None or n <= 0 or m < 0 or lines != 1 + n + m or not len(ids) == len(by_id) == n:
-            return None
-        owners = list(map(by_id.__getitem__, range(n)))
     except (ValueError, KeyError):
         return None
-    ends = tails + heads
-    if len(tails) == m and (not ends or 0 <= min(ends) <= max(ends) < n):
-        shared = list(range(n)).__getitem__  # one int object per vertex id
-        return n, owners, map(shared, tails), map(shared, heads), weights
-    return None
+    if n is None or owned != n or None in by_id or edges != m:
+        return None
+    return n, by_id, tails, heads, weights
 
 
 def _raise_line_error(text: str) -> None:
@@ -184,20 +207,19 @@ def render_strategy(strategy: PositionalStrategy) -> str:
 
 def render_witness(witness: MinWitness) -> str:
     """Min's strategies as blocks introduced by ``k <index>`` lines, each
-    choice written once: the last block holds the last strategy in full,
-    and each earlier block ``j`` only the vertices, sorted by id, whose
-    choice in strategy ``j`` differs from strategy ``j + 1``, with their
-    choice in ``j``.  Strategy ``j`` is block ``j`` laid over strategy
-    ``j + 1``.  Raises InvalidStrategy when two strategies cover different
-    vertices, as their blocks could not be laid over each other."""
-    choices = [s.choice for s in witness.strategies]
-    if any(c.keys() != choices[-1].keys() for c in choices[:-1]):
-        raise InvalidStrategy("witness strategies cover different vertices")
-    domain = sorted(choices[-1]) if choices else []
-    columns = [list(map(c.__getitem__, domain)) for c in choices]
+    choice written once: each earlier block ``j`` holds ``switches[j]``,
+    sorted by vertex id, the vertices whose choice in strategy ``j``
+    differs from strategy ``j + 1`` with their choice in ``j``, and the
+    last block holds the last strategy in full.  Strategy ``j`` is block
+    ``j`` laid over strategy ``j + 1``.  Raises InvalidStrategy when a
+    switch names a vertex outside the last strategy, as the blocks could
+    not be laid over it."""
+    last = witness.last.choice
     parts = []
-    # the last strategy is compared with none, so its block is written in full
-    for j, (col, nxt) in enumerate(zip(columns, columns[1:] + [[None] * len(domain)])):
+    for j, block in enumerate(witness.switches):
+        if not block.keys() <= last.keys():
+            raise InvalidStrategy("witness strategies cover different vertices")
         parts.append(f"k {j}\n")
-        parts += [f"s {v} {u}\n" for v, u, t in zip(domain, col, nxt) if u != t]
+        parts += [f"s {v} {u}\n" for v, u in sorted(block.items())]
+    parts += [f"k {len(witness.switches)}\n", render_strategy(witness.last)]
     return "".join(parts)

@@ -54,8 +54,9 @@ Max wins with a single positional strategy, read off the final ``d`` alone
 by :func:`_extract_max_strategy`.  Min's optimal play is a sequence of
 positional strategies replayed by per-vertex death index
 (:func:`checker.verify_min_witness` checks it).  Below the bound
-``(n - 1) * W`` she may need memory, and the solve records her strategy
-of every iteration.  At a bound of at least ``(n - 1) * W``, every lb
+``(n - 1) * W`` she may need memory, and the solve records her switches
+of every iteration, each with her target before it, beside her last
+strategy.  At a bound of at least ``(n - 1) * W``, every lb
 solve among them, her last strategy alone is optimal (:func:`_solve`
 proves it), so the witness is that one block, with death index 0 at
 every losing vertex.
@@ -295,13 +296,14 @@ def _evaluate(game, pi, bound, d_prev, prev=None, deadline=deadline_after(None))
 
 def _improve(game, pi, d):
     """Switch Min's choice at every vertex with an improving edge; returns
-    the switched vertices.
+    each switched vertex, in increasing order, with her target before the
+    switch.
 
     Every out-edge of the game is a candidate, and the smallest
     ``(d(u) + w, u)`` wins: the smallest value, then the lowest target
     index, at the lightest of that target's parallel edges.
     """
-    switched = []
+    switched = {}
     out = game.out_adjacency
     for v in compress(range(game.vertex_count), pi):  # Min's vertices
         dv = d[v]
@@ -318,7 +320,7 @@ def _improve(game, pi, d):
                 best, choice = (cand, u), e
         if best is not None:
             pi[v] = choice
-            switched.append(v)
+            switched[v] = cur
     return switched
 
 
@@ -342,10 +344,12 @@ def _solve(game, bound, time_limit):
     """KASI on a validated game at a non-negative bound, from Min's
     lowest-indexed successors at their lightest weights.
 
-    At a bound of at least ``(n - 1) * W`` Min's last strategy ``sigma``
-    alone is optimal, so the solve keeps no earlier one.  Write ``D_i`` for
-    the vertices at -inf after evaluation ``i`` and ``pi_i`` for the
-    strategy it evaluated; ``D_i`` only grows.
+    Below the bound ``(n - 1) * W`` the witness keeps each iteration's
+    switches, each vertex with her target before it, and her last strategy
+    in full.  At a bound of at least ``(n - 1) * W`` Min's last strategy
+    ``sigma`` alone is optimal, so the solve keeps no switch.  Write
+    ``D_i`` for the vertices at -inf after evaluation ``i`` and ``pi_i``
+    for the strategy it evaluated; ``D_i`` only grows.
 
     * A finite energy of a one-player game on ``n`` vertices with weights
       in ``[-W, W]`` is at most ``(n - 1) * W``, so at such a bound the
@@ -376,19 +380,18 @@ def _solve(game, bound, time_limit):
     pi = [min(row) if o is Owner.MIN else None for row, o in zip(game.out_adjacency, game.owners)]
     d_prev = [0] * n
     one_block = bound >= (n - 1) * max_abs_weight(game)
-    strategies: list[PositionalStrategy] = []
+    switches: list[dict[int, int]] = []
     death: list[int | None] = [None] * n
     prev = None
-    stats = SolveStats(passes=[], heap_pops=[], switches=[])
+    stats = SolveStats(passes=[], heap_pops=[], fallen=[], b_size=[], switches=[])
     # d only falls, each iteration after the first lowers some d(v), and
     # d(v) is one of 0, -1, ..., -bound, -inf
     max_main = n * (bound + 1) + 1
     deadline = deadline_after(time_limit)
     for iteration in range(max_main):
-        if not one_block:
-            strategies.append(_snapshot(pi))
         d, parents, passes, pops = _evaluate(game, pi, bound, d_prev, prev, deadline)
-        if iteration > 0 and d == d_prev:
+        fallen = sum(map(ne, d, d_prev))
+        if iteration > 0 and not fallen:
             # every iteration after an improvement must strictly decrease d
             raise InvariantViolation("improvement iteration left d unchanged")
         if not one_block:
@@ -398,21 +401,24 @@ def _solve(game, bound, time_limit):
         switched = _improve(game, pi, d)
         stats.passes.append(passes)
         stats.heap_pops.append(pops)
+        stats.fallen.append(fallen)
+        stats.b_size.append(d.count(0))
         stats.switches.append(len(switched))
         if not switched:
             break
+        if not one_block:
+            switches.append(switched)
         prev = (parents, switched)
         d_prev = d
     else:
         raise InvariantViolation(f"main loop needs more than {max_main} iterations")
     if one_block:
-        strategies = [_snapshot(pi)]
         death = [0 if dv == NEG_INF else None for dv in d]
 
     return SolveResult(
         lwub=[(-dv if dv != NEG_INF else INF) for dv in d],
         max_strategy=_extract_max_strategy(game, d),
-        min_witness=MinWitness(strategies=strategies, death_index=death),
+        min_witness=MinWitness(last=_snapshot(pi), switches=switches, death_index=death),
         final_d=d,
         iterations=iteration + 1,
         stats=stats,

@@ -14,7 +14,9 @@
   repair a forest instead;
 * :func:`one_vertex_game`, the minimal legal game;
 * :func:`expand_witness`, a rendered witness with every block in full,
-  the format before earlier blocks came to hold only their differences.
+  the format before earlier blocks came to hold only their differences;
+* :func:`witness_of`, the ``MinWitness`` of a sequence of full strategies,
+  the form the witness was held in before it came to hold switch lists.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import product
 
-from mpgsolve.core import NEG_INF, GameGraph, Owner, PositionalStrategy
+from mpgsolve.core import NEG_INF, GameGraph, MinWitness, Owner, PositionalStrategy
 from mpgsolve.errors import BudgetExceeded
 from mpgsolve.value_iteration import _value
 
@@ -242,3 +244,15 @@ def reference_evaluation(game: GameGraph, bound: int, strategy: PositionalStrate
         if not left:
             return d
         targets -= left
+
+
+def witness_of(strategies: list[PositionalStrategy], death_index: list) -> MinWitness:
+    """The witness of Min's full ``strategies``: the last one, and for each
+    earlier one its choices, sorted by vertex, at the vertices where it
+    differs from the next.  A vertex an earlier strategy misses and the
+    next one holds has no switch that could say so, so it is dropped."""
+    switches = [
+        {v: u for v, u in sorted(a.choice.items()) if b.choice.get(v) != u}
+        for a, b in zip(strategies, strategies[1:])
+    ]
+    return MinWitness(strategies[-1], switches, death_index)

@@ -14,7 +14,6 @@ from mpgsolve import (
     GameGraph,
     GenSpec,
     InvariantViolation,
-    MinWitness,
     Owner,
     PositionalStrategy,
     WitnessIncomplete,
@@ -26,6 +25,7 @@ from mpgsolve import (
 )
 from mpgsolve.core import reduction_bound
 from conftest import certified, random_game
+from reference import witness_of
 from test_kasi import _C11_SHAPE, _TORUS
 
 INF = float("inf")
@@ -40,7 +40,7 @@ def _with_value(res, v, x):
 def _with_last_block(res, v, u):
     strategies = list(res.min_witness.strategies)
     strategies[-1] = PositionalStrategy(Owner.MIN, {**strategies[-1].choice, v: u})
-    return replace(res, min_witness=MinWitness(strategies, res.min_witness.death_index))
+    return replace(res, min_witness=witness_of(strategies, res.min_witness.death_index))
 
 
 def _corpus(lb):
@@ -93,7 +93,7 @@ class TestValues:
         death = list(res.min_witness.death_index)
         death[2] = None
         with pytest.raises(InvariantViolation, match=r"x\(2\) = 15 does not cover edge"):
-            certify(g, b, replace(wrong, min_witness=MinWitness(res.min_witness.strategies, death)))
+            certify(g, b, replace(wrong, min_witness=replace(res.min_witness, death_index=death)))
 
     @pytest.mark.parametrize("x", [-1, 16, 3.0, True, None])
     def test_a_value_outside_the_range_is_caught(self, x):
@@ -175,7 +175,7 @@ class TestStrategies:
         # of as many arcs as there are losing vertices must repeat one
         g = GameGraph(2, [Owner.MAX, Owner.MAX], [(0, 1, 0), (1, 0, 0)])
         res = certified(g)
-        wrong = replace(res, lwub=[INF, INF], min_witness=MinWitness(res.min_witness.strategies, [0, 0]))
+        wrong = replace(res, lwub=[INF, INF], min_witness=replace(res.min_witness, death_index=[0, 0]))
         with pytest.raises(InvariantViolation, match="cycle of weight >= 0 among the losing vertices reaches vertex 0$"):
             certify(g, reduction_bound(g), wrong)
 
@@ -184,8 +184,9 @@ class TestStrategies:
         res = certified(g, b)
         for wrong, message in [
             (replace(res, max_strategy=PositionalStrategy(Owner.MAX, {0: 0})), "strategy domain mismatch"),
-            (replace(res, min_witness=MinWitness([], [None] * 4)), "Min's witness holds no strategy"),
-            (replace(res, min_witness=MinWitness(res.min_witness.strategies, [None] * 3)),
+            (replace(res, min_witness=replace(res.min_witness, switches=[{0: 1}])),
+             "witness strategies cover different vertices"),
+            (replace(res, min_witness=replace(res.min_witness, death_index=[None] * 3)),
              "death_index has 3 entries for 4 vertices"),
             (replace(res, lwub=res.lwub[:3]), "3 values for 4 vertices"),
         ]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -27,7 +28,7 @@ from mpgsolve import (
 from mpgsolve import formats
 from mpgsolve.core import reduction_bound
 from conftest import random_game
-from reference import expand_witness
+from reference import expand_witness, witness_of
 
 INF = float("inf")
 
@@ -110,6 +111,21 @@ class TestGameGrammar:
         monkeypatch.setattr(formats, "_raise_line_error", fail)
         assert parse_game(render_game(g)) == g
 
+    # faults on the last line of their tag, past its first chunk, in a game
+    # of one self-loop per vertex: an owner given twice, a head out of
+    # range, a negative tail
+    @pytest.mark.parametrize("record, reason", [
+        ("o 0 MIN", "duplicate owner for vertex 0"),
+        ("e 0 {n} 0", "edge (0, {n}) out of range"),
+        ("e -1 0 0", "edge (-1, 0) out of range"),
+    ])
+    def test_fault_in_a_later_chunk(self, record, reason):
+        n = formats.CHUNK_LINES + 5
+        lines = [f"p mpg {n} {n}"] + [f"o {v} MAX" for v in range(n)] + [f"e {v} {v} 0" for v in range(n)]
+        line = n + 1 if record[0] == "o" else 2 * n + 1
+        lines[line - 1] = record.format(n=n)
+        _assert_parse_error("\n".join(lines) + "\n", line, reason.format(n=n))
+
     def test_zero_out_degree_rejected(self):
         with pytest.raises(ZeroOutDegree):
             parse_game("p mpg 2 1\no 0 MAX\no 1 MIN\ne 0 1 5\n")
@@ -148,6 +164,44 @@ class TestGameGrammar:
                 spec = GenSpec(family=family, zones=rng.randint(2, 3), seed=i)
             g = generate(spec)
             assert parse_game(render_game(g)) == g
+
+
+class TestParseMemory:
+    """A parse holds one chunk's tokens at a time, so its peak, by
+    ``tracemalloc``, stays a small multiple of the game it builds; a header
+    that the text's line count belies builds nothing."""
+
+    @staticmethod
+    def traced(call):
+        """``(held, peak)``: the bytes ``call()`` leaves allocated and its
+        peak, both above what was allocated before it, and its result."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            held, peak = (x - base for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return held, peak, result
+
+    def test_peak_is_a_small_multiple_of_the_game(self):
+        # the tokens of the whole 40,000-edge block took about 7.2 times the
+        # game; one chunk's take about 2.3 times
+        text = render_game(generate(GenSpec(family="sprand", n=20000, edge_factor=2.0, seed=0,
+                                            weight_lo=-5, weight_hi=5)))
+        held, peak, g = self.traced(lambda: parse_game(text))
+        assert len(g.tails) == 40000
+        assert peak <= 3.5 * held
+
+    def test_huge_header_on_a_short_text(self):
+        def parse():
+            with pytest.raises(ParseError) as err:
+                parse_game("p mpg 1000000000000 1\no 0 MAX\ne 0 0 1\n")
+            return err.value
+
+        _, peak, err = self.traced(parse)
+        assert (err.line, err.reason) == (0, "missing owner line for vertex 1")
+        assert peak < 2**20
 
 
 def _line_parse(text):
@@ -272,7 +326,7 @@ class TestWitnessFormat:
         # FORMAT.md's example: Min owns 1, 3 and 6; strategy 0 differs from 1
         # at vertex 1, and strategy 1 from 2 at vertices 3 and 6
         sequence = [{1: 4, 3: 5, 6: 0}, {1: 2, 3: 5, 6: 0}, {1: 2, 3: 7, 6: 8}]
-        witness = MinWitness([PositionalStrategy(Owner.MIN, c) for c in sequence], [None] * 7)
+        witness = witness_of([PositionalStrategy(Owner.MIN, c) for c in sequence], [None] * 7)
         text = render_witness(witness)
         assert text.splitlines() == ["k 0", "s 1 4", "k 1", "s 3 5", "s 6 0", "k 2", "s 1 2", "s 3 7", "s 6 8"]
         assert expand_witness(text) == _full_blocks(witness)
@@ -293,14 +347,17 @@ class TestWitnessFormat:
             multi += len(blocks) > 1
         assert multi > 50  # the corpus really exercised switch lists
 
-    @pytest.mark.parametrize("sequence", [
-        [{1: 4, 3: 5}, {1: 2, 3: 5, 6: 0}],
-        [{1: 4, 3: 5, 6: 0}, {1: 2, 3: 5}],
-        [{1: 4, 3: 5, 7: 0}, {1: 2, 3: 5, 6: 0}],
-        [{1: 2, 3: 5, 6: 0}, {1: 2, 6: 0}, {1: 2, 3: 5, 6: 0}],
+    # a switch at a vertex the last strategy does not hold: the last one is
+    # empty, a switch holds one beside a held vertex or only others, or one
+    # in a middle block does
+    @pytest.mark.parametrize("switches, last", [
+        ([{1: 4}], {}),
+        ([{1: 4, 6: 0}], {1: 2, 3: 5}),
+        ([{7: 0}], {1: 2, 3: 5, 6: 0}),
+        ([{1: 4}, {6: 0}, {3: 7}], {1: 2, 3: 5}),
     ], ids=["missing", "extra", "other", "middle"])
-    def test_blocks_on_different_vertices_rejected(self, sequence):
-        witness = MinWitness([PositionalStrategy(Owner.MIN, c) for c in sequence], [None] * 8)
+    def test_blocks_on_different_vertices_rejected(self, switches, last):
+        witness = MinWitness(PositionalStrategy(Owner.MIN, last), switches, [None] * 8)
         with pytest.raises(InvalidStrategy, match="witness strategies cover different vertices"):
             render_witness(witness)
 

@@ -11,7 +11,6 @@ from mpgsolve import (
     GameGraph,
     InvalidStrategy,
     InvariantViolation,
-    MinWitness,
     Owner,
     PositionalStrategy,
     PreconditionViolated,
@@ -32,7 +31,7 @@ from mpgsolve import (
 from mpgsolve import MEMORY_GAME_BOUND, GenSpec, InvalidSpec, core, formats, generate, kasi, vi_solve
 from mpgsolve.core import reduction_bound, validate_strategy
 from conftest import certified, evaluated, random_game
-from reference import expand_witness, one_vertex_game
+from reference import expand_witness, one_vertex_game, witness_of
 from test_properties import SETTINGS, games
 
 INF = float("inf")
@@ -437,12 +436,7 @@ class TestMinWitness:
         # always plays 2 -> 3: Max survives the non-negative 2/3 cycle
         g = memory_game()
         res = certified(g, MEMORY_GAME_BOUND)
-        from mpgsolve import MinWitness
-
-        broken = MinWitness(
-            strategies=[PositionalStrategy(MIN, {2: 3})],
-            death_index=[None, None, 0, 0],
-        )
+        broken = witness_of([PositionalStrategy(MIN, {2: 3})], [None, None, 0, 0])
         with pytest.raises(WitnessIncomplete):
             verify_min_witness(g, MEMORY_GAME_BOUND, broken, 2, MEMORY_GAME_BOUND)
 
@@ -454,7 +448,7 @@ class TestMinWitness:
         (2, None, [None, None, 1], InvalidSpec, "death_index has 3 entries for 4 vertices"),
         (2, None, [None, None, -1, 0], InvalidSpec, "death_index[2] = -1 names none of the 2 strategies"),
         (2, None, [None, None, 1.0, 0], InvalidSpec, "death_index[2] = 1.0 names none of the 2 strategies"),
-        (2, [], None, InvalidSpec, "death_index[2] = 1 names none of the 0 strategies"),
+        (2, [PositionalStrategy(MIN, {2: 3})], None, InvalidSpec, "death_index[2] = 1 names none of the 1 strategies"),
         (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MIN, {2: 1})], None,
          InvalidStrategy, "choice 2 -> 1 is not an edge"),
         (2, [PositionalStrategy(MIN, {2: 0}), PositionalStrategy(MIN, {})], None,
@@ -463,13 +457,15 @@ class TestMinWitness:
          InvalidStrategy, "expected a Min strategy"),
         (4, None, None, InvalidSpec, "vertex 4 is not in range(4)"),
         (2, None, [None, None, 2, 0], InvalidSpec, "death_index[2] = 2 names none of the 2 strategies"),
+        (2, [PositionalStrategy(MIN, {2: 1}), PositionalStrategy(MIN, {2: 3})], None,
+         InvalidStrategy, "choice 2 -> 1 is not an edge"),
+        (2, [PositionalStrategy(MIN, {0: 1, 2: 0}), PositionalStrategy(MIN, {2: 3})], None,
+         InvalidStrategy, "witness strategies cover different vertices"),
     ])
     def test_malformed_witness_rejected(self, vertex, strategies, death, error, message):
-        from mpgsolve import MinWitness
-
         g = memory_game()
         witness = certified(g, MEMORY_GAME_BOUND).min_witness
-        witness = MinWitness(witness.strategies if strategies is None else strategies,
+        witness = witness_of(witness.strategies if strategies is None else strategies,
                              witness.death_index if death is None else death)
         with pytest.raises(error) as err:
             verify_min_witness(g, MEMORY_GAME_BOUND, witness, vertex, MEMORY_GAME_BOUND)
@@ -478,10 +474,8 @@ class TestMinWitness:
     def test_safe_cycle_beside_a_violation_is_reported(self):
         # Max at 0 loses along the -5 edge but may loop at weight 0 forever;
         # the violation found first must not hide the safe cycle
-        from mpgsolve import MinWitness
-
         g = GameGraph(2, [MAX, MIN], [(0, 0, 0), (0, 1, -5), (1, 1, -1)])
-        broken = MinWitness(strategies=[PositionalStrategy(MIN, {1: 1})], death_index=[0, 0])
+        broken = witness_of([PositionalStrategy(MIN, {1: 1})], [0, 0])
         with pytest.raises(WitnessIncomplete, match="a play may cycle safely through state"):
             verify_min_witness(g, 3, broken, 0, 3)
 
@@ -530,10 +524,10 @@ class TestOneBlockWitness:
         g = GameGraph(3, [MAX, MAX, MIN], [(0, 0, -1), (0, 1, 0), (1, 1, 0), (2, 1, 0), (2, 2, -1)])
         res = certified(g)
         assert res.lwub == [0, 0, INF]
-        assert res.min_witness == MinWitness([PositionalStrategy(MIN, {2: 2})], [None, None, 0])
+        assert res.min_witness == witness_of([PositionalStrategy(MIN, {2: 2})], [None, None, 0])
         for lwub, choice, edge in [([INF, 0, INF], {2: 2}, "(0, 1)"), ([0, 0, INF], {2: 1}, "(2, 1)")]:
             death = [0 if x == INF else None for x in lwub]
-            wrong = replace(res, lwub=lwub, min_witness=MinWitness([PositionalStrategy(MIN, choice)], death))
+            wrong = replace(res, lwub=lwub, min_witness=witness_of([PositionalStrategy(MIN, choice)], death))
             with pytest.raises(InvariantViolation, match=re.escape(f"edge {edge} leaves the losing set")):
                 certify(g, reduction_bound(g), wrong)
 
@@ -782,9 +776,9 @@ class TestIterations:
 
 
 class TestSolveStats:
-    """The solve's own per-iteration counts: evaluation passes, heap pops
-    and Min switches, on the criterion-11 seed-0 game at the lb bound and
-    at bound 20."""
+    """The solve's own per-iteration counts: evaluation passes, heap pops,
+    fallen values, the size of ``B`` and Min switches, on the criterion-11
+    seed-0 game at the lb bound and at bound 20."""
 
     C11 = GenSpec(family="sprand", n=20000, edge_factor=2.0, seed=0, weight_lo=1, weight_hi=10, shift=6)
 
@@ -795,11 +789,14 @@ class TestSolveStats:
         assert lb.heap_pops == [18708, 21835, 19064, 11583, 2778, 797, 454, 17, 0, 0]
         assert sum(lb.heap_pops) == 75236
         assert lb.switches == [3348, 1989, 1461, 927, 167, 48, 8, 1, 1, 0]
+        assert lb.fallen == [13203, 13905, 13414, 12588, 7585, 1891, 677, 88, 2, 2]
+        assert lb.b_size == [6797, 2748, 1786, 1473, 1392, 1380, 1365, 1364, 1364, 1364]
         b20 = solve_lwub(g, 20).stats
         assert b20.passes == [11, 10, 14, 9, 7, 4, 3, 1]
         assert b20.heap_pops == [18436, 17118, 7424, 3402, 933, 206, 129, 20]
         assert sum(b20.heap_pops) == 47668
         assert b20.switches == [3347, 1860, 792, 234, 58, 14, 6, 0]
+        assert b20.fallen == [13203, 13752, 10846, 5279, 1628, 489, 163, 39]
 
     @pytest.mark.parametrize("spec", [_C11_SHAPE, _TORUS, _PARALLEL])
     def test_counts_agree_with_the_solve(self, monkeypatch, spec):
@@ -809,13 +806,26 @@ class TestSolveStats:
         pops = TestHeapPops.pops(monkeypatch, solve_lb, g)
         res = solve_lwub(g, 10)
         stats = res.stats
-        assert len(stats.passes) == len(stats.heap_pops) == len(stats.switches) == res.iterations
+        counts = (stats.passes, stats.heap_pops, stats.fallen, stats.b_size, stats.switches)
+        assert {len(c) for c in counts} == {res.iterations}
         assert min(stats.passes) >= 1 and stats.switches[-1] == 0
+        assert min(stats.fallen) >= 1 and stats.b_size[-1] == res.final_d.count(0)
         blocks = res.min_witness.strategies
         assert stats.switches[:-1] == [
             sum(a.choice[v] != b.choice[v] for v in a.choice) for a, b in zip(blocks, blocks[1:])
         ]
         assert sum(solve_lb(g).stats.heap_pops) == pops
+
+    def test_witness_holds_the_switches_and_one_strategy(self):
+        # below (n - 1) * W: one switch entry per Min switch of the solve, and
+        # Min's last strategy in full; at lb, that strategy alone
+        g = generate(_C11_SHAPE)
+        res = solve_lwub(g, 20)
+        witness = res.min_witness
+        assert len(witness.switches) == res.iterations - 1 > 1
+        assert sum(map(len, witness.switches)) == sum(res.stats.switches)
+        assert witness.last.choice.keys() == set(g.vertices_of(MIN))
+        assert solve_lb(g).min_witness.switches == []
 
 
 class TestStrategyChecks:
